@@ -157,11 +157,13 @@ def pcg_solve(
 
     rtol = cfg.effective_residual_tolerance()
 
+    if x_true is not None:
+        true_norm = math.sqrt(max(float(x_true @ laplacian_apply(g, x_true)), 0.0))
+
     def a_norm_rel_err(x):
         d = x - x_true
         num = math.sqrt(max(float(d @ laplacian_apply(g, d)), 0.0))
-        den = math.sqrt(max(float(x_true @ laplacian_apply(g, x_true)), 0.0))
-        return num / den if den > 0 else num
+        return num / true_norm if true_norm > 0 else num
 
     x = np.zeros(g.n)
     r = bbar.copy()

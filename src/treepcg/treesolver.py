@@ -1,14 +1,18 @@
-"""Linear-time factorization of a tree Laplacian and pseudo-inverse solves.
+"""Tree Laplacian pseudo-inverse solves as flows and potentials.
 
-Eliminating leaves first gives an LDL^T factorization of the tree Laplacian
-in O(n) with strictly positive pivots for every non-root vertex.  The
-pseudo-inverse action is realized as: center the right-hand side, forward and
-backward substitute with the root potential fixed at zero, center the result.
+For a mean-zero load b on a tree, x = L_T^+ b is the potential of the tree
+flow that b drives.  The flow on the edge from v to its parent is the sum of
+b over the subtree of v; the potential drop across that edge is the flow
+divided by the edge weight; and the potential of v is the sum of the drops on
+its root path (the root sits at 0, and the result is centred at the end).
+This is leaf elimination read off directly: eliminating leaves first makes
+every pivot equal to its parent-edge weight.
 
-Internally vertices are renumbered into BFS order (root = position 0), so the
-substitution loops scan positions sequentially and parent accesses stay
-within the previous tree level; this keeps the wall time linear in n instead
-of degrading on cache misses for scattered vertex ids.
+``factor`` numbers the vertices in DFS preorder, so that every subtree is a
+contiguous range of slots.  A solve is then a handful of whole-array calls:
+subtree sums are differences of one prefix sum of b, and root-path sums are
+one more prefix sum of the drops, from which each drop is taken out again
+right after its subtree ends.  Both cost O(n), with no per-vertex Python code.
 """
 from __future__ import annotations
 
@@ -22,65 +26,76 @@ class TreeSolveError(ValueError):
 
 
 class TreeFactorization:
-    """Leaf-elimination factorization of a tree Laplacian (rank n-1).
+    """DFS-preorder layout of a tree Laplacian (rank n-1).
 
-    ``elimination_order`` lists vertices children-before-parents (leaves
-    first, root last is implicit as the only uneliminated vertex).  The
-    arrays ``parent_pos``, ``pivot``, ``ratio``, ``inv_pivot`` are indexed by
-    BFS position, with ``perm[pos]`` giving the original vertex id.
+    ``preorder`` lists the vertices in DFS preorder and ``slot`` maps a vertex
+    to its place in it; the subtree at slot p is ``preorder[p : last[p] + 1]``,
+    and ``weight[p]`` is the weight of the edge from slot p to its parent.
+    ``perm`` is the tree's BFS order (root first).
     """
 
-    __slots__ = ("n", "root", "perm", "elimination_order", "parent_pos", "pivot", "ratio", "inv_pivot")
+    __slots__ = ("n", "root", "perm", "preorder", "slot", "last", "weight")
 
-    def __init__(self, n, root, perm, elimination_order, parent_pos, pivot, ratio, inv_pivot):
+    def __init__(self, n, root, perm, preorder, slot, last, weight):
         self.n = n
         self.root = root
         self.perm = perm
-        self.elimination_order = elimination_order
-        self.parent_pos = parent_pos
-        self.pivot = pivot
-        self.ratio = ratio
-        self.inv_pivot = inv_pivot
+        self.preorder = preorder
+        self.slot = slot
+        self.last = last
+        self.weight = weight
+
+    @property
+    def elimination_order(self) -> list:
+        """Non-root vertices, children before parents (reverse BFS order)."""
+        return self.perm[:0:-1].tolist()
+
+    @property
+    def pivot(self) -> list:
+        """Leaf-elimination pivots by BFS position: the parent-edge weights,
+        with 0 at the root."""
+        pivot = self.weight[self.slot[self.perm]]
+        pivot[0] = 0.0
+        return pivot.tolist()
 
 
 def factor(t: SpanningTree) -> TreeFactorization:
-    """Factor the tree Laplacian by repeated leaf elimination; O(n)."""
+    """Lay the tree out in DFS preorder for flow-and-potential solves; O(n)."""
     n = t.n
-    perm = t.order                      # BFS order, parents before children
+    perm = t.order                      # BFS order: parents first, siblings adjacent
     pos = np.empty(n, dtype=np.int64)
     pos[perm] = np.arange(n)
-    parent_pos_np = np.empty(n, dtype=np.int64)
-    parent_pos_np[0] = -1
-    parent_pos_np[1:] = pos[t.parent[perm[1:]]]
-    weight = t.parent_weight[perm].tolist()
-
-    parent_pos = parent_pos_np.tolist()
-    diag = [0.0] * n
+    parent_pos = pos[t.parent[perm]].tolist()   # parent_pos[0] is unused
+    # leaves first: subtree sizes, and for each child the total size of its
+    # later siblings (siblings are adjacent in BFS order)
+    size = [1] * n
+    later = [0] * n
     for i in range(n - 1, 0, -1):
-        w = weight[i]
-        diag[i] += w
-        diag[parent_pos[i]] += w
-    pivot = [0.0] * n
-    ratio = [0.0] * n
-    inv_pivot = [0.0] * n
-    # eliminate positions n-1 .. 1: children always sit after their parent
-    for i in range(n - 1, 0, -1):
-        d = diag[i]
-        w = weight[i]
-        pivot[i] = d
-        ratio[i] = w / d
-        inv_pivot[i] = 1.0 / d
-        diag[parent_pos[i]] -= w * w / d
-    elimination_order = perm[:0:-1].tolist()
+        p = parent_pos[i]
+        later[i] = size[p] - 1
+        size[p] += size[i]
+    # parents first: a subtree's preorder range ends where its parent's range
+    # ends, less the ranges of its later siblings
+    end = later
+    end[0] = n
+    for i in range(1, n):
+        end[i] = end[parent_pos[i]] - end[i]
+    end_of_pos = np.array(end, dtype=np.int64)
+    slot_of_pos = end_of_pos - np.array(size, dtype=np.int64)
+    preorder = np.empty(n, dtype=np.int64)
+    preorder[slot_of_pos] = perm
+    last = np.empty(n, dtype=np.int64)
+    last[slot_of_pos] = end_of_pos - 1
+    vertex_slot = np.empty(n, dtype=np.int64)
+    vertex_slot[perm] = slot_of_pos
     return TreeFactorization(
         n=n,
         root=t.root,
         perm=perm,
-        elimination_order=elimination_order,
-        parent_pos=parent_pos,
-        pivot=pivot,
-        ratio=ratio,
-        inv_pivot=inv_pivot,
+        preorder=preorder,
+        slot=vertex_slot,
+        last=last,
+        weight=t.parent_weight[preorder],
     )
 
 
@@ -89,19 +104,16 @@ def pseudo_solve(f: TreeFactorization, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (f.n,):
         raise TreeSolveError(f"vector length {b.shape} does not match n={f.n}")
-    n = f.n
-    y = (b[f.perm] - b.mean()).tolist()
-    par = f.parent_pos
-    ratio = f.ratio
-    inv_pivot = f.inv_pivot
-    # forward: fold each eliminated position into its parent, leaves first
-    for i in range(n - 1, 0, -1):
-        y[par[i]] += y[i] * ratio[i]
-    # backward: root potential pinned to 0, children recovered from parents
-    x = [0.0] * n
-    for i in range(1, n):
-        x[i] = y[i] * inv_pivot[i] + ratio[i] * x[par[i]]
-    out = np.empty(n)
-    out[f.perm] = x
-    out -= out.mean()
-    return out
+    prefix = np.cumsum(b[f.preorder] - b.mean())
+    # slots 1..n-1: the flow on the parent edge is the load on the subtree
+    # range [p, last[p]], and the potential drop across the edge is flow/weight
+    drop = np.zeros(f.n)
+    np.subtract(prefix[f.last[1:]], prefix[:-1], out=drop[1:])
+    drop[1:] /= f.weight[1:]
+    # the potential at a slot sums the drops of the ranges that contain it:
+    # each drop enters at its own slot and leaves right after its range ends
+    exits = np.bincount(f.last[1:], weights=drop[1:], minlength=f.n)
+    drop[1:] -= exits[:-1]
+    x = np.cumsum(drop)[f.slot]
+    x -= x.mean()
+    return x

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treepcg
 from treepcg import read_edge_list, read_vector
 from treepcg.cli import (
     CliError,
@@ -77,7 +82,7 @@ class TestScaling:
             "stretch_cbrt": 8.836555922403612, "iterations": 47, "k_bound": 94,
         }
         assert rows[1]["m"] == 760 and rows[1]["stretch_total"] == 4562.0
-        assert rows[1]["iterations"] == 103 and rows[1]["k_bound"] == 176
+        assert rows[1]["iterations"] == 105 and rows[1]["k_bound"] == 176
 
     def test_single_size_many_seeds(self):
         rows = run_scaling(["grid:8x8:unit"], "maxw", 1e-8, list(range(10)))
@@ -187,3 +192,12 @@ class TestConfigPrecedence:
         r2 = json.loads(out2.read_text())
         assert r2["spec"]["tree_method"] == "maxw"
         assert r2["spec"]["epsilon"] == 1e-4
+
+
+class TestImports:
+    def test_package_loads_no_scipy(self):
+        src = str(Path(treepcg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, treepcg, treepcg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import treepcg.pcg
 from treepcg import (
     PcgConfig,
     PcgError,
@@ -177,6 +178,43 @@ class TestPcgSolve:
             "bound_exact_spectrum", "bound_stretch_only", "a_norm_error",
         }
         assert d["bound_exact_spectrum"] == 5 and d["bound_stretch_only"] == 9
+
+
+class TestTraceBoundaries:
+    """pcg_solve looks up pseudo_solve and laplacian_apply in the treepcg.pcg
+    module at call time, so a wrapper installed there sees every call."""
+
+    def counted_solve(self, monkeypatch, rng, cfg, with_x_true):
+        calls = {"pseudo_solve": 0, "laplacian_apply": 0}
+
+        def counting(name):
+            original = getattr(treepcg.pcg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(treepcg.pcg, name, counting(name))
+        g = generate("grid:12x12:logw", seed=0)
+        t = max_weight_spanning_tree(g)
+        b = rng.standard_normal(g.n)
+        b -= b.mean()
+        x_true = np.linalg.pinv(dense_laplacian(g)) @ b if with_x_true else None
+        out = pcg_solve(g, factor(t), b, cfg, x_true=x_true)
+        assert out.converged and out.iterations > 1
+        return out.iterations, calls
+
+    def test_one_solve_and_one_multiply_per_iteration(self, monkeypatch, rng):
+        k, calls = self.counted_solve(monkeypatch, rng, PcgConfig(epsilon=1e-8), False)
+        assert calls == {"pseudo_solve": k + 1, "laplacian_apply": k}
+
+    def test_a_norm_tracking_multiplies_once_per_recorded_iterate(self, monkeypatch, rng):
+        cfg = PcgConfig(epsilon=1e-8, record_history=True)
+        k, calls = self.counted_solve(monkeypatch, rng, cfg, True)
+        # k for CG, k + 1 recorded errors, the final error and x_true's norm
+        assert calls == {"pseudo_solve": k + 1, "laplacian_apply": 2 * k + 3}
 
 
 class TestTailCountIntegration:

@@ -41,6 +41,46 @@ class TestFactor:
             f = factor(t)
             assert min(f.pivot[1:]) > 0.0
 
+    @pytest.mark.parametrize("kind", ["random", "broom", "star"])
+    def test_preorder_ranges_are_subtrees(self, kind, rng):
+        n = 200
+        t = deep_tree(kind, n, rng, 1)
+        f = factor(t)
+        assert sorted(f.preorder.tolist()) == list(range(n))
+        assert np.array_equal(f.preorder[f.slot], np.arange(n))
+        assert f.preorder[0] == t.root and f.last[0] == n - 1
+        paths = [root_path(t, u) for u in range(n)]
+        for v in range(n):
+            subtree = {u for u in range(n) if v in paths[u]}
+            s = int(f.slot[v])
+            assert set(f.preorder[s:f.last[s] + 1].tolist()) == subtree
+
+
+def root_path(t, u):
+    path = [u]
+    while t.parent[path[-1]] >= 0:
+        path.append(int(t.parent[path[-1]]))
+    return set(path)
+
+
+def deep_tree(kind, n, rng, decades):
+    """A path, a star, a random-attachment tree or a broom (a path of n/2
+    vertices ending in a star), with weights log-uniform over 10^(+-decades)."""
+    parent = np.arange(-1, n - 1)
+    if kind == "broom":
+        parent[n // 2:] = n // 2 - 1
+    elif kind == "star":
+        parent[1:] = 0
+    elif kind == "random":
+        parent[1:] = rng.integers(0, np.arange(1, n))
+    return SpanningTree(parent, 10.0 ** rng.uniform(-decades, decades, n))
+
+
+def tree_laplacian_apply(t, x):
+    v = np.flatnonzero(t.parent >= 0)
+    flow = t.parent_weight[v] * (x[v] - x[t.parent[v]])
+    return np.bincount(v, flow, t.n) - np.bincount(t.parent[v], flow, t.n)
+
 
 def f_order(t):
     return factor(t).elimination_order
@@ -105,7 +145,39 @@ class TestPseudoSolve:
             quad = e @ pseudo_solve(f, e)
             assert quad == pytest.approx(path_resistance(t, u, v), abs=1e-10)
 
+    def test_matches_loop_reference(self, rng):
+        # reference: flows summed leaves first, potentials parents first
+        n = 3000
+        t = random_tree(n, rng)
+        b = rng.standard_normal(n)
+        flow = b - b.mean()
+        for v in t.order[:0:-1]:
+            flow[t.parent[v]] += flow[v]
+        ref = np.zeros(n)
+        for v in t.order[1:]:
+            ref[v] = ref[t.parent[v]] + flow[v] / t.parent_weight[v]
+        ref -= ref.mean()
+        x = pseudo_solve(factor(t), b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_dimension_mismatch(self, rng):
         t = random_tree(10, rng)
         with pytest.raises(TreeSolveError, match="length"):
             pseudo_solve(factor(t), np.zeros(11))
+
+
+class TestDeepTreeAccuracy:
+    @pytest.mark.parametrize("decades", [1, 4])
+    @pytest.mark.parametrize("n", [2000, 100_000])
+    @pytest.mark.parametrize("kind", ["path", "random", "broom"])
+    def test_backward_error(self, kind, n, decades, rng):
+        t = deep_tree(kind, n, rng, decades)
+        b = rng.standard_normal(n)
+        b -= b.mean()
+        x = pseudo_solve(factor(t), b)
+        v = np.flatnonzero(t.parent >= 0)
+        degree = np.bincount(v, t.parent_weight[v], n) + np.bincount(t.parent[v], t.parent_weight[v], n)
+        lap_norm = 2.0 * degree.max()       # infinity norm of L_T
+        residual = np.abs(tree_laplacian_apply(t, x) - b).max()
+        scale = lap_norm * np.abs(x).max() + np.abs(b).max()
+        assert residual <= 1e-13 * scale
