@@ -1,9 +1,9 @@
 """Weighted undirected graphs: Laplacian action, generators, edge-list I/O.
 
-A graph is stored as a canonical sorted edge list (u < v) plus an adjacency
-index.  The Laplacian L = sum_e w(e) (psi_u - psi_v)(psi_u - psi_v)^T is never
-materialized except through :func:`dense_laplacian`, which is capped to desk
-scale and exists to back brute-force verification.
+A graph is stored as a canonical sorted edge list (u < v).  The Laplacian
+L = sum_e w(e) (psi_u - psi_v)(psi_u - psi_v)^T is never materialized except
+through :func:`dense_laplacian`, which is capped to desk scale and exists to
+back brute-force verification.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ class WeightedGraph:
     time by BFS.
     """
 
-    __slots__ = ("n", "edge_u", "edge_v", "edge_w", "_adj", "_connected")
+    __slots__ = ("n", "edge_u", "edge_v", "edge_w", "_connected")
 
     def __init__(self, n: int, edges):
         if n <= 0:
@@ -56,23 +56,22 @@ class WeightedGraph:
         self.edge_u = np.array([e[0] for e in canon], dtype=np.int64)
         self.edge_v = np.array([e[1] for e in canon], dtype=np.int64)
         self.edge_w = np.array([e[2] for e in canon], dtype=np.float64)
-        adj = [[] for _ in range(n)]
-        for i, (u, v, w) in enumerate(canon):
-            adj[u].append((v, w, i))
-            adj[v].append((u, w, i))
-        self._adj = adj
-        self._connected = self._traverse_all()
+        self._connected = self._traverse_all(canon)
 
-    def _traverse_all(self) -> bool:
+    def _traverse_all(self, edges) -> bool:
         if self.n == 1:
             return True
+        adj = [[] for _ in range(self.n)]
+        for u, v, _ in edges:
+            adj[u].append(v)
+            adj[v].append(u)
         seen = bytearray(self.n)
         seen[0] = 1
         queue = deque([0])
         count = 1
         while queue:
             u = queue.popleft()
-            for v, _, _ in self._adj[u]:
+            for v in adj[u]:
                 if not seen[v]:
                     seen[v] = 1
                     count += 1
@@ -86,9 +85,6 @@ class WeightedGraph:
     @property
     def edges(self):
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
-
-    def neighbors(self, u: int):
-        return self._adj[u]
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"

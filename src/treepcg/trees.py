@@ -2,12 +2,13 @@
 
 The stretch of a non-tree edge e = (u, v) with weight w is
 w * (sum of 1/w(f) over the tree edges f on the unique u-v tree path).
-Tree path resistances come from root prefix sums and a constant-time LCA
-(Euler tour + sparse table), so a full stretch report costs O(m + n log n).
+Tree path resistances come from root prefix sums and an LCA read off a
+sparse table over the tree's DFS preorder.  A stretch report answers all m
+LCA queries in one batch of whole-array calls, so it costs O(m + n log n)
+with no per-edge Python code.
 """
 from __future__ import annotations
 
-import csv
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -24,9 +25,9 @@ class TreeError(ValueError):
 class SpanningTree:
     """Rooted spanning tree with parent links and cached path-resistance data.
 
-    Immutable after construction.  The LCA tables are built lazily on the
-    first query so that solve-only workloads at large n never pay the
-    O(n log n) table cost.
+    Immutable after construction.  The DFS-preorder layout and the LCA table
+    are built lazily on first use, so that solve-only workloads at large n
+    never pay the O(n log n) table cost.
     """
 
     __slots__ = (
@@ -37,10 +38,8 @@ class SpanningTree:
         "depth",
         "order",
         "resistance_prefix",
-        "_euler",
-        "_first",
+        "_layout",
         "_table",
-        "_log",
     )
 
     def __init__(self, parent, parent_weight, root: int = 0):
@@ -83,10 +82,8 @@ class SpanningTree:
         self.depth = depth
         self.order = order
         self.resistance_prefix = prefix
-        self._euler = None
-        self._first = None
+        self._layout = None
         self._table = None
-        self._log = None
 
     @classmethod
     def from_edges(cls, n: int, edges, root: int = 0) -> "SpanningTree":
@@ -125,65 +122,81 @@ class SpanningTree:
         out.sort()
         return out
 
-    # -- LCA ---------------------------------------------------------------
+    # -- DFS preorder and LCA ---------------------------------------------
 
-    def _ensure_lca(self):
-        if self._table is not None:
-            return
-        n = self.n
-        children = [[] for _ in range(n)]
-        for u in self.order[1:]:
-            children[self.parent[u]].append(int(u))
-        euler = []
-        first = np.full(n, -1, dtype=np.int64)
-        idx = [0] * n
-        stack = [self.root]
-        while stack:
-            u = stack[-1]
-            if first[u] < 0:
-                first[u] = len(euler)
-            euler.append(u)
-            if idx[u] < len(children[u]):
-                c = children[u][idx[u]]
-                idx[u] += 1
-                stack.append(c)
-            else:
-                stack.pop()
-        euler = np.array(euler, dtype=np.int64)
-        m = len(euler)
-        depths = self.depth[euler]
-        levels = max(1, m.bit_length())
-        table = np.empty((levels, m), dtype=np.int64)
-        table[0] = np.arange(m)
-        for k in range(1, levels):
-            span = 1 << k
-            half = span >> 1
-            width = m - span + 1
-            if width <= 0:
-                table[k] = table[k - 1]
-                continue
-            a = table[k - 1, :width]
-            b = table[k - 1, half:half + width]
-            table[k, :width] = np.where(depths[a] <= depths[b], a, b)
-        log = np.zeros(m + 1, dtype=np.int64)
-        for i in range(2, m + 1):
-            log[i] = log[i >> 1] + 1
-        self._euler = euler
-        self._first = first
-        self._table = table
-        self._log = log
+    def preorder_layout(self):
+        """DFS preorder, children in BFS order: ``(preorder, slot, last)``.
 
-    def lca(self, u: int, v: int) -> int:
-        self._ensure_lca()
-        l, r = int(self._first[u]), int(self._first[v])
-        if l > r:
-            l, r = r, l
-        k = int(self._log[r - l + 1])
-        a = self._table[k, l]
-        b = self._table[k, r - (1 << k) + 1]
-        depths = self.depth
-        winner = a if depths[self._euler[a]] <= depths[self._euler[b]] else b
-        return int(self._euler[winner])
+        ``preorder`` lists the vertices, ``slot`` maps a vertex to its place
+        in it, and the subtree at slot p is ``preorder[p : last[p] + 1]``.
+        Built on first use by two flat-list passes over BFS positions; O(n).
+        """
+        if self._layout is None:
+            n = self.n
+            perm = self.order               # BFS order: parents first, siblings adjacent
+            pos = np.empty(n, dtype=np.int64)
+            pos[perm] = np.arange(n)
+            parent_pos = pos[self.parent[perm]].tolist()   # parent_pos[0] is unused
+            # leaves first: subtree sizes, and for each child the total size of
+            # its later siblings (siblings are adjacent in BFS order)
+            size = [1] * n
+            later = [0] * n
+            for i in range(n - 1, 0, -1):
+                p = parent_pos[i]
+                later[i] = size[p] - 1
+                size[p] += size[i]
+            # parents first: a subtree's preorder range ends where its parent's
+            # range ends, less the ranges of its later siblings
+            end = later
+            end[0] = n
+            for i in range(1, n):
+                end[i] = end[parent_pos[i]] - end[i]
+            end_of_pos = np.array(end, dtype=np.int64)
+            slot_of_pos = end_of_pos - np.array(size, dtype=np.int64)
+            preorder = np.empty(n, dtype=np.int64)
+            preorder[slot_of_pos] = perm
+            last = np.empty(n, dtype=np.int64)
+            last[slot_of_pos] = end_of_pos - 1
+            slot = np.empty(n, dtype=np.int64)
+            slot[perm] = slot_of_pos
+            self._layout = (preorder, slot, last)
+        return self._layout
+
+    def _lca_table(self) -> np.ndarray:
+        """Sparse table of parent slots: row k, column i holds the smallest
+        parent slot over the slots [i, min(i + 2^k, n)).  The root's entry is
+        0; slot 0 never lies in a query range."""
+        if self._table is None:
+            n = self.n
+            preorder, slot, _ = self.preorder_layout()
+            table = np.empty((max(1, (n - 1).bit_length()), n), dtype=np.int64)
+            table[0] = slot[self.parent[preorder]]
+            table[0, 0] = 0
+            for k in range(1, len(table)):
+                half = 1 << (k - 1)
+                np.minimum(table[k - 1, :n - half], table[k - 1, half:], out=table[k, :n - half])
+                table[k, n - half:] = table[k - 1, n - half:]
+            self._table = table
+        return self._table
+
+    def lca(self, u, v):
+        """Lowest common ancestor of vertices u and v, elementwise for arrays.
+
+        For slot[u] < slot[v], the slots (slot[u], slot[v]] lie inside the
+        subtree of the LCA and contain the LCA's child on the path to v, so
+        the shallowest vertex there is a child of the LCA, and the smallest
+        parent slot there is the LCA's slot.
+        """
+        preorder, slot, _ = self.preorder_layout()
+        table = self._lca_table()
+        su, sv = slot[u], slot[v]
+        lo = np.minimum(su, sv)
+        hi = np.maximum(su, sv)
+        first = np.minimum(lo + 1, hi)      # query slots [first, hi]
+        k = np.frexp(hi - first + 1)[1] - 1     # floor(log2(range length))
+        best = np.minimum(table[k, first], table[k, hi + 1 - (1 << k)])
+        out = preorder[np.where(lo == hi, lo, best)]
+        return int(out) if out.ndim == 0 else out
 
 
 def lca_naive(t: SpanningTree, u: int, v: int) -> int:
@@ -196,23 +209,27 @@ def lca_naive(t: SpanningTree, u: int, v: int) -> int:
     return u
 
 
-def path_resistance(t: SpanningTree, u: int, v: int) -> float:
-    """Series resistance sum(1/w) along the unique u-v tree path; O(1)."""
-    if u == v:
-        return 0.0
-    a = t.lca(u, v)
-    return float(t.resistance_prefix[u] + t.resistance_prefix[v] - 2.0 * t.resistance_prefix[a])
+def path_resistance(t: SpanningTree, u, v):
+    """Series resistance sum(1/w) along the unique u-v tree path, elementwise
+    for arrays; O(1) per pair after an O(n log n) table."""
+    P = t.resistance_prefix
+    r = P[u] + P[v] - 2.0 * P[t.lca(u, v)]
+    return float(r) if np.ndim(r) == 0 else r
 
 
 def tree_spans(g: WeightedGraph, t: SpanningTree) -> bool:
     """True iff every tree edge exists in g with the identical weight."""
-    if t.n != g.n:
+    if t.n != g.n or g.m < t.n - 1:
         return False
-    gedges = {(int(u), int(v)): w for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)}
-    for a, b, w in t.edges:
-        if gedges.get((a, b)) != w:
-            return False
-    return True
+    n = g.n
+    child = np.flatnonzero(t.parent >= 0)
+    a = np.minimum(child, t.parent[child])
+    b = np.maximum(child, t.parent[child])
+    keys = g.edge_u * n + g.edge_v          # ascending: edges are canonical and sorted
+    want = a * n + b
+    pos = np.minimum(np.searchsorted(keys, want), g.m - 1)
+    return bool(np.array_equal(keys[pos], want)
+                and np.array_equal(g.edge_w[pos], t.parent_weight[child]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +238,19 @@ def tree_spans(g: WeightedGraph, t: SpanningTree) -> bool:
 
 @dataclass
 class StretchReport:
-    """Per-edge stretch values (canonical edge order) and their sum."""
+    """Per-edge stretch values in canonical edge order, and their sum."""
 
-    per_edge: list  # (u, v, w, stretch)
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_w: np.ndarray
+    values: np.ndarray
     total: float
 
     @property
-    def values(self) -> np.ndarray:
-        return np.array([s for _, _, _, s in self.per_edge])
+    def per_edge(self) -> list:
+        """(u, v, w, stretch) tuples of Python numbers."""
+        return list(zip(self.edge_u.tolist(), self.edge_v.tolist(),
+                        self.edge_w.tolist(), self.values.tolist()))
 
     def summary(self) -> dict:
         vals = self.values
@@ -247,11 +269,11 @@ class StretchReport:
         }
 
     def write_csv(self, path) -> None:
+        """The rows ``csv.writer`` would write: u, v, repr(w), repr(stretch)."""
+        rows = map("{},{},{!r},{!r}\r\n".format,
+                   self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist(), self.values.tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["u", "v", "w", "stretch"])
-            for u, v, w, s in self.per_edge:
-                writer.writerow([u, v, repr(w), repr(s)])
+            fh.write("u,v,w,stretch\r\n" + "".join(rows))
 
     def write_json_summary(self, path) -> None:
         with open(path, "w") as fh:
@@ -262,13 +284,10 @@ class StretchReport:
 def stretch_report(g: WeightedGraph, t: SpanningTree) -> StretchReport:
     if not tree_spans(g, t):
         raise TreeError("tree does not span the graph with matching weights")
-    per_edge = []
-    total = 0.0
-    for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
-        s = w * path_resistance(t, u, v)
-        per_edge.append((u, v, w, s))
-        total += s
-    return StretchReport(per_edge=per_edge, total=total)
+    s = g.edge_w * path_resistance(t, g.edge_u, g.edge_v)
+    # a sequential sum, in edge order (np.sum would sum pairwise)
+    total = float(np.cumsum(s)[-1]) if g.m else 0.0
+    return StretchReport(g.edge_u, g.edge_v, g.edge_w, values=s, total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +327,12 @@ def max_weight_spanning_tree(g: WeightedGraph) -> SpanningTree:
     """
     if not is_connected(g):
         raise TreeError("graph must be connected")
-    idx = sorted(range(g.m), key=lambda i: (-g.edge_w[i], g.edge_u[i], g.edge_v[i]))
+    idx = np.lexsort((g.edge_v, g.edge_u, -g.edge_w))   # key (-w, u, v)
     uf = _UnionFind(g.n)
     chosen = []
-    for i in idx:
-        if uf.union(int(g.edge_u[i]), int(g.edge_v[i])):
-            chosen.append((int(g.edge_u[i]), int(g.edge_v[i]), float(g.edge_w[i])))
+    for u, v, w in zip(g.edge_u[idx].tolist(), g.edge_v[idx].tolist(), g.edge_w[idx].tolist()):
+        if uf.union(u, v):
+            chosen.append((u, v, w))
             if len(chosen) == g.n - 1:
                 break
     return SpanningTree.from_edges(g.n, chosen)

@@ -8,11 +8,12 @@ its root path (the root sits at 0, and the result is centred at the end).
 This is leaf elimination read off directly: eliminating leaves first makes
 every pivot equal to its parent-edge weight.
 
-``factor`` numbers the vertices in DFS preorder, so that every subtree is a
-contiguous range of slots.  A solve is then a handful of whole-array calls:
-subtree sums are differences of one prefix sum of b, and root-path sums are
-one more prefix sum of the drops, from which each drop is taken out again
-right after its subtree ends.  Both cost O(n), with no per-vertex Python code.
+``factor`` takes the DFS-preorder layout that ``SpanningTree.preorder_layout``
+builds and caches, in which every subtree is a contiguous range of slots.  A
+solve is then a handful of whole-array calls: subtree sums are differences of
+one prefix sum of b, and root-path sums are one more prefix sum of the drops,
+from which each drop is taken out again right after its subtree ends.  Both
+cost O(n), with no per-vertex Python code.
 """
 from __future__ import annotations
 
@@ -60,40 +61,15 @@ class TreeFactorization:
 
 
 def factor(t: SpanningTree) -> TreeFactorization:
-    """Lay the tree out in DFS preorder for flow-and-potential solves; O(n)."""
-    n = t.n
-    perm = t.order                      # BFS order: parents first, siblings adjacent
-    pos = np.empty(n, dtype=np.int64)
-    pos[perm] = np.arange(n)
-    parent_pos = pos[t.parent[perm]].tolist()   # parent_pos[0] is unused
-    # leaves first: subtree sizes, and for each child the total size of its
-    # later siblings (siblings are adjacent in BFS order)
-    size = [1] * n
-    later = [0] * n
-    for i in range(n - 1, 0, -1):
-        p = parent_pos[i]
-        later[i] = size[p] - 1
-        size[p] += size[i]
-    # parents first: a subtree's preorder range ends where its parent's range
-    # ends, less the ranges of its later siblings
-    end = later
-    end[0] = n
-    for i in range(1, n):
-        end[i] = end[parent_pos[i]] - end[i]
-    end_of_pos = np.array(end, dtype=np.int64)
-    slot_of_pos = end_of_pos - np.array(size, dtype=np.int64)
-    preorder = np.empty(n, dtype=np.int64)
-    preorder[slot_of_pos] = perm
-    last = np.empty(n, dtype=np.int64)
-    last[slot_of_pos] = end_of_pos - 1
-    vertex_slot = np.empty(n, dtype=np.int64)
-    vertex_slot[perm] = slot_of_pos
+    """The tree's DFS-preorder layout, set up for flow-and-potential solves;
+    O(n)."""
+    preorder, slot, last = t.preorder_layout()
     return TreeFactorization(
-        n=n,
+        n=t.n,
         root=t.root,
-        perm=perm,
+        perm=t.order,
         preorder=preorder,
-        slot=vertex_slot,
+        slot=slot,
         last=last,
         weight=t.parent_weight[preorder],
     )

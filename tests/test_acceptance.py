@@ -217,6 +217,9 @@ def _bench_tree(kind, n, rng):
 
 
 def _timed_factor_solve(t, b):
+    # the tree caches its DFS-preorder layout on first use; drop it, so that
+    # every timing includes the O(n) layout passes that factor stands on
+    t._layout = None
     t0 = time.perf_counter()
     f = factor(t)
     pseudo_solve(f, b)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -170,6 +171,24 @@ class TestGenAndStretch:
         assert summary["total"] > 0
         lines = (tmp_path / "rep.csv").read_text().splitlines()
         assert lines[0] == "u,v,w,stretch" and len(lines) == 61
+
+    @pytest.mark.parametrize("spec, tree, digests", [
+        ("grid:12x12:logw", "akpw", {
+            "csv": "fb9b57aafa5ff0779b507d5cfdb405a99501950cef71ccb93ad80843bb9eaefe",
+            "json": "3299f7e87b52bfaefef126eb0675d66e03e5c068f72cb3e5b2ba93d4fb9dec92",
+        }),
+        ("gnp:n=200,p=0.05:logw", "maxw", {
+            "csv": "c238e1a3f3452df6d206b0eb024cd01f76bf128c8fe0bd907dc86c28bc2ef15b",
+            "json": "5b9be3c32390607b6286137dee8969e2c587eb4914d508fbc8f948bb8aeead22",
+        }),
+    ])
+    def test_stretch_report_bytes_pinned(self, tmp_path, spec, tree, digests):
+        # sha256 of reports written by the per-edge scalar implementation
+        # (seed 0); any change to a last bit of a stretch value fails here
+        prefix = tmp_path / "rep"
+        assert main(["stretch", "--gen", spec, "--tree", tree, "--out", str(prefix)]) == 0
+        for ext, digest in digests.items():
+            assert hashlib.sha256((tmp_path / f"rep.{ext}").read_bytes()).hexdigest() == digest
 
     def test_stretch_requires_one_source(self):
         assert main(["stretch"]) == 2

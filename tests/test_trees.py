@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ from treepcg import (
 )
 from treepcg.trees import lca_naive
 
-from conftest import random_tree
+from conftest import deep_tree, random_tree, root_path
 
 
 def triangle(weights=(1.0, 1.0, 1.0)):
@@ -49,6 +50,27 @@ class TestMaxWeightTree:
         g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(TreeError, match="connected"):
             max_weight_spanning_tree(g)
+
+    def test_ties_follow_documented_key(self):
+        # Kruskal in the documented order (-w, u, v): the tree it picks
+        # changes if tied edges are taken in any other order
+        logw = generate("gnp:n=80,p=0.1:logw", seed=3)
+        rounded = WeightedGraph(logw.n, [(u, v, float(1 + int(w))) for u, v, w in logw.edges])
+        for g in (generate("grid:7x7:unit", seed=0), rounded):
+            edges = g.edges
+            order = sorted(range(g.m), key=lambda i: (-g.edge_w[i], g.edge_u[i], g.edge_v[i]))
+            comp = list(range(g.n))
+            chosen = []
+            for i in order:
+                u, v, _ = edges[i]
+                while comp[u] != u:
+                    u = comp[u]
+                while comp[v] != v:
+                    v = comp[v]
+                if u != v:
+                    comp[u] = v
+                    chosen.append(edges[i])
+            assert max_weight_spanning_tree(g).edges == sorted(chosen)
 
 
 class TestHeuristicTree:
@@ -139,8 +161,72 @@ class TestLca:
                 u, v = (int(x) for x in rng.integers(0, n, 2))
                 assert t.lca(u, v) == lca_naive(t, u, v)
 
+    @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+    def test_batched_against_naive_walk(self, kind, n, rng):
+        t = deep_tree(kind, n, rng, 1)
+        if n <= 64:
+            us, vs = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+        else:
+            # random pairs, every vertex with itself, and with each ancestor
+            us, vs = rng.integers(0, n, (2, 2000))
+            anc = [(u, a) for u in range(n) for a in root_path(t, u)]
+            us = np.concatenate([us, np.arange(n), [u for u, _ in anc]])
+            vs = np.concatenate([vs, np.arange(n), [a for _, a in anc]])
+        got = t.lca(us, vs)
+        assert got.shape == us.shape
+        assert got.tolist() == [lca_naive(t, int(u), int(v)) for u, v in zip(us, vs)]
+        assert np.array_equal(t.lca(vs, us), got)
+
+    def test_scalar_result_is_int(self, rng):
+        t = random_tree(30, rng)
+        assert type(t.lca(3, 17)) is int and type(t.lca(5, 5)) is int
+
+
+def reference_report(g, t):
+    """Per-edge stretch by upward walks and a sequential sum, one edge at a
+    time, in the report's operation order."""
+    P = t.resistance_prefix.tolist()
+    values, total = [], 0.0
+    for u, v, w in g.edges:
+        a = lca_naive(t, u, v)
+        s = w * (P[u] + P[v] - 2.0 * P[a])
+        assert path_resistance(t, u, v) == P[u] + P[v] - 2.0 * P[a]
+        values.append(s)
+        total += s
+    return values, total
+
 
 class TestStretchReport:
+    @pytest.mark.parametrize("spec", ["grid:15x15:logw", "regular:n=200,d=4:logw", "gnp:n=150,p=0.05:logw"])
+    @pytest.mark.parametrize("method", ["maxw", "akpw"])
+    def test_bit_equal_to_scalar_reference(self, spec, method):
+        g = generate(spec, seed=2)
+        t = max_weight_spanning_tree(g) if method == "maxw" else low_stretch_heuristic_tree(g, seed=2)
+        rep = stretch_report(g, t)
+        values, total = reference_report(g, t)
+        assert rep.values.tolist() == values
+        assert rep.total == total
+        assert rep.per_edge == [(u, v, w, s) for (u, v, w), s in zip(g.edges, values)]
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        g = generate("gnp:n=120,p=0.06:logw", seed=1)
+        rep = stretch_report(g, low_stretch_heuristic_tree(g, seed=1))
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["u", "v", "w", "stretch"])
+        for u, v, w, s in rep.per_edge:
+            writer.writerow([u, v, repr(w), repr(s)])
+        rep.write_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == ref.getvalue().encode()
+
+    def test_single_vertex(self, tmp_path):
+        g = WeightedGraph(1, [])
+        rep = stretch_report(g, SpanningTree([-1], [0.0]))
+        assert rep.total == 0.0 and rep.per_edge == []
+        rep.write_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == b"u,v,w,stretch\r\n"
+
     def test_unit_triangle_path_tree(self):
         g = triangle()
         t = SpanningTree.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -172,6 +258,21 @@ class TestStretchReport:
         g = generate("grid:6x6:logw", seed=4)
         rep = stretch_report(g, max_weight_spanning_tree(g))
         assert rep.total == pytest.approx(sum(s for _, _, _, s in rep.per_edge))
+
+    def test_tree_spans_rejections(self):
+        g = generate("grid:5x5:logw", seed=0)
+        t = max_weight_spanning_tree(g)
+        assert tree_spans(g, t)
+        child = int(np.flatnonzero(t.parent >= 0)[7])
+        nudged = t.parent_weight.copy()
+        nudged[child] = np.nextafter(nudged[child], np.inf)
+        assert not tree_spans(g, SpanningTree(t.parent, nudged))
+        parent = t.parent.copy()
+        parent[24] = 0     # corner to corner: not a grid edge
+        assert not tree_spans(g, SpanningTree(parent, t.parent_weight))
+        assert not tree_spans(generate("grid:5x6:logw", seed=0), t)
+        path = SpanningTree.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert not tree_spans(WeightedGraph(3, [(0, 1, 1.0)]), path)
 
     def test_mismatch_rejected(self):
         g = triangle()

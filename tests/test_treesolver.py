@@ -12,7 +12,7 @@ from treepcg import (
     pseudo_solve,
 )
 
-from conftest import random_tree
+from conftest import deep_tree, random_tree, root_path
 
 
 class TestFactor:
@@ -54,26 +54,6 @@ class TestFactor:
             subtree = {u for u in range(n) if v in paths[u]}
             s = int(f.slot[v])
             assert set(f.preorder[s:f.last[s] + 1].tolist()) == subtree
-
-
-def root_path(t, u):
-    path = [u]
-    while t.parent[path[-1]] >= 0:
-        path.append(int(t.parent[path[-1]]))
-    return set(path)
-
-
-def deep_tree(kind, n, rng, decades):
-    """A path, a star, a random-attachment tree or a broom (a path of n/2
-    vertices ending in a star), with weights log-uniform over 10^(+-decades)."""
-    parent = np.arange(-1, n - 1)
-    if kind == "broom":
-        parent[n // 2:] = n // 2 - 1
-    elif kind == "star":
-        parent[1:] = 0
-    elif kind == "random":
-        parent[1:] = rng.integers(0, np.arange(1, n))
-    return SpanningTree(parent, 10.0 ** rng.uniform(-decades, decades, n))
 
 
 def tree_laplacian_apply(t, x):
