@@ -1,15 +1,15 @@
 """Weighted undirected graphs: Laplacian action, generators, edge-list I/O.
 
-A graph is stored as a canonical sorted edge list (u < v).  The Laplacian
+A graph is stored as a canonical sorted edge list (u < v) in three arrays;
+one breadth-first :func:`search` serves connectivity, the giant component of
+a gnp graph and the orientation of a spanning tree.  The Laplacian
 L = sum_e w(e) (psi_u - psi_v)(psi_u - psi_v)^T is never materialized except
 through :func:`dense_laplacian`, which is capped to desk scale and exists to
 back brute-force verification.
 """
 from __future__ import annotations
 
-import math
 import re
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +24,11 @@ class GraphError(ValueError):
 class WeightedGraph:
     """Immutable undirected graph with strictly positive edge weights.
 
-    Vertex ids are 0..n-1.  Edges are canonicalized to u < v and sorted, so
-    iteration order is reproducible.  Connectivity is computed once at build
-    time by BFS.
+    Vertex ids are 0..n-1; ``edges`` holds (u, v, w) triples, as a sequence
+    or an (m, 3) array.  Edges are canonicalized to u < v and sorted, so
+    iteration order is reproducible.  An invalid edge raises GraphError for
+    the first offender in input order (duplicates: in sorted order).
+    Connectivity is read off one :func:`search` at build time.
     """
 
     __slots__ = ("n", "edge_u", "edge_v", "edge_w", "_connected")
@@ -34,49 +36,34 @@ class WeightedGraph:
     def __init__(self, n: int, edges):
         if n <= 0:
             raise GraphError(f"vertex count must be positive, got {n}")
-        canon = []
-        for u, v, w in edges:
-            u = int(u)
-            v = int(v)
-            w = float(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (w > 0.0) or not math.isfinite(w):
-                raise GraphError(f"edge ({u}, {v}) has nonpositive weight {w}")
-            if u > v:
-                u, v = v, u
-            canon.append((u, v, w))
-        canon.sort(key=lambda e: (e[0], e[1]))
-        for a, b in zip(canon, canon[1:]):
-            if a[0] == b[0] and a[1] == b[1]:
-                raise GraphError(f"duplicate edge ({a[0]}, {a[1]})")
+        e = np.asarray(edges, dtype=np.float64)
+        if e.size == 0:
+            e = e.reshape(0, 3)
+        if e.ndim != 2 or e.shape[1] != 3:
+            raise GraphError(f"edges must be (u, v, w) triples, got an array of shape {e.shape}")
+        u, v, w = np.trunc(e[:, 0]), np.trunc(e[:, 1]), e[:, 2]
+        out_of_range = ~((0 <= u) & (u < n) & (0 <= v) & (v < n))
+        bad = out_of_range | (u == v) | ~(w > 0.0) | ~np.isfinite(w)
+        if bad.any():
+            i = int(bad.argmax())
+            ui, vi = int(u[i]), int(v[i])
+            if out_of_range[i]:
+                raise GraphError(f"vertex id out of range in edge ({ui}, {vi})")
+            if ui == vi:
+                raise GraphError(f"self-loop at vertex {ui}")
+            raise GraphError(f"edge ({ui}, {vi}) has nonpositive weight {float(w[i])}")
+        a = np.minimum(u, v).astype(np.int64)
+        b = np.maximum(u, v).astype(np.int64)
+        idx = np.lexsort((b, a))
+        a, b = a[idx], b[idx]
+        dup = np.flatnonzero((a[1:] == a[:-1]) & (b[1:] == b[:-1]))
+        if len(dup):
+            raise GraphError(f"duplicate edge ({a[dup[0]]}, {b[dup[0]]})")
         self.n = n
-        self.edge_u = np.array([e[0] for e in canon], dtype=np.int64)
-        self.edge_v = np.array([e[1] for e in canon], dtype=np.int64)
-        self.edge_w = np.array([e[2] for e in canon], dtype=np.float64)
-        self._connected = self._traverse_all(canon)
-
-    def _traverse_all(self, edges) -> bool:
-        if self.n == 1:
-            return True
-        adj = [[] for _ in range(self.n)]
-        for u, v, _ in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+        self.edge_u = a
+        self.edge_v = b
+        self.edge_w = w[idx]
+        self._connected = len(search(n, a, b)[1]) == 1
 
     @property
     def m(self) -> int:
@@ -92,6 +79,35 @@ class WeightedGraph:
 
 def is_connected(g: WeightedGraph) -> bool:
     return g._connected
+
+
+def search(n: int, u, v, root: int = 0):
+    """Breadth-first search of the graph on 0..n-1 with edges (u[i], v[i]).
+
+    Returns ``(order, starts)``: the vertices as visited, and where each
+    component begins in ``order``.  The first search starts at ``root``, each
+    later one at the smallest vertex not yet visited.  Every vertex but a
+    start is visited after a neighbour.  O(n + m): the adjacency lists are
+    one ``argsort`` of the endpoints."""
+    ends = np.concatenate((u, v))
+    nbr = np.concatenate((v, u))[np.argsort(ends, kind="stable")].tolist()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n)))).tolist()
+    seen = bytearray(n)
+    order, starts = [], []
+    s, lo = root, 0
+    while s >= 0:
+        seen[s] = 1
+        starts.append(len(order))
+        comp = [s]
+        for x in comp:              # the list grows while it is iterated
+            for y in nbr[ptr[x]:ptr[x + 1]]:
+                if not seen[y]:
+                    seen[y] = 1
+                    comp.append(y)
+        order += comp
+        s = seen.find(0, lo)
+        lo = s + 1
+    return np.array(order, dtype=np.int64), np.array(starts, dtype=np.int64)
 
 
 def laplacian_apply(g: WeightedGraph, x) -> np.ndarray:
@@ -178,52 +194,46 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
 
 
 def _grid_edges(rows: int, cols: int):
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            u = i * cols + j
-            if j + 1 < cols:
-                edges.append((u, u + 1))
-            if i + 1 < rows:
-                edges.append((u, u + cols))
-    return rows * cols, edges
+    """Each vertex's right, then lower neighbour; vertices in row-major order."""
+    n = rows * cols
+    u = np.repeat(np.arange(n), 2)
+    right = np.tile([True, False], n)
+    v = np.where(right, u + 1, u + cols)
+    keep = np.where(right, u % cols + 1 < cols, v < n)
+    return n, u[keep], v[keep]
+
+
+_GNP_BLOCK = 1 << 20    # uniforms drawn at a time: 8 MB, whatever n is
 
 
 def _gnp_edges(n: int, p: float, rng: np.random.Generator):
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(len(iu)) < p
-    pairs = list(zip(iu[mask].tolist(), iv[mask].tolist()))
-    return _giant_component(n, pairs)
+    """Pair k of the row-major upper triangle is an edge iff the k-th uniform
+    is below p.  Drawn in blocks, the uniforms are the same stream as in one
+    call, so memory is O(n + m + block) instead of O(n^2)."""
+    if n < 1:
+        return 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    rows = np.arange(n)
+    row_start = rows * (2 * n - rows - 1) // 2     # index of pair (i, i + 1)
+    total = n * (n - 1) // 2
+    hits = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, total, _GNP_BLOCK):
+        hits.append(start + np.flatnonzero(rng.random(min(_GNP_BLOCK, total - start)) < p))
+    k = np.concatenate(hits)
+    u = np.searchsorted(row_start, k, side="right") - 1
+    return _giant_component(n, u, k - row_start[u] + u + 1)
 
 
-def _giant_component(n: int, pairs):
-    adj = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    comp = [-1] * n
-    best, best_size = 0, -1
-    ncomp = 0
-    for s in range(n):
-        if comp[s] != -1:
-            continue
-        queue = deque([s])
-        comp[s] = ncomp
-        size = 1
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if comp[v] == -1:
-                    comp[v] = ncomp
-                    size += 1
-                    queue.append(v)
-        if size > best_size:
-            best, best_size = ncomp, size
-        ncomp += 1
-    keep = [u for u in range(n) if comp[u] == best]
-    relabel = {u: i for i, u in enumerate(keep)}
-    out = [(relabel[u], relabel[v]) for u, v in pairs if comp[u] == best]
-    return len(keep), out
+def _giant_component(n: int, u, v):
+    """The largest component, ties to the one holding the smallest vertex,
+    relabelled in increasing vertex id; its edges keep their input order."""
+    order, starts = search(n, u, v)
+    sizes = np.diff(starts, append=n)
+    c = int(sizes.argmax())
+    keep = np.zeros(n, dtype=bool)
+    keep[order[starts[c]:starts[c] + sizes[c]]] = True
+    label = np.cumsum(keep) - 1
+    mask = keep[u]
+    return int(sizes[c]), label[u[mask]], label[v[mask]]
 
 
 def _regular_edges(n: int, d: int, seed: int):
@@ -234,7 +244,8 @@ def _regular_edges(n: int, d: int, seed: int):
     for attempt in range(100):
         G = nx.random_regular_graph(d, n, seed=seed * 1000 + attempt)
         if nx.is_connected(G):
-            return n, list(G.edges())
+            u, v = np.array(list(G.edges()), dtype=np.int64).reshape(-1, 2).T
+            return n, u, v
     raise GraphError(f"could not generate a connected {d}-regular graph on {n} vertices")
 
 
@@ -244,21 +255,21 @@ def generate(spec, seed: int) -> WeightedGraph:
         spec = parse_generator_spec(spec)
     rng = np.random.default_rng([int(seed), 0x5EED])
     if spec.kind == "grid":
-        n, pairs = _grid_edges(spec.params["rows"], spec.params["cols"])
+        n, u, v = _grid_edges(spec.params["rows"], spec.params["cols"])
     elif spec.kind == "gnp":
-        n, pairs = _gnp_edges(spec.params["n"], spec.params["p"], rng)
+        n, u, v = _gnp_edges(spec.params["n"], spec.params["p"], rng)
         if n < 2:
             raise GraphError(f"giant component of {spec} collapsed to {n} vertices")
     elif spec.kind == "regular":
-        n, pairs = _regular_edges(spec.params["n"], spec.params["d"], int(seed))
+        n, u, v = _regular_edges(spec.params["n"], spec.params["d"], int(seed))
     else:
         raise GraphError(f"unknown generator kind {spec.kind!r}")
     wrng = np.random.default_rng([int(seed), 0x17])
     if spec.weighting == "unit":
-        weights = np.ones(len(pairs))
+        weights = np.ones(len(u))
     else:
-        weights = 10.0 ** wrng.uniform(-1.0, 1.0, size=len(pairs))
-    return WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+        weights = 10.0 ** wrng.uniform(-1.0, 1.0, size=len(u))
+    return WeightedGraph(n, np.column_stack((u, v, weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +277,7 @@ def generate(spec, seed: int) -> WeightedGraph:
 
 
 def read_edge_list(path) -> WeightedGraph:
-    edges = []
-    max_id = -1
+    values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -284,8 +294,9 @@ def read_edge_list(path) -> WeightedGraph:
                 raise GraphError(f"{path}:{lineno}: self-loop at vertex {u}")
             if not (w > 0.0):
                 raise GraphError(f"{path}:{lineno}: nonpositive weight {w}")
-            edges.append((u, v, w))
-            max_id = max(max_id, u, v)
+            values += (u, v, w)
+    edges = np.array(values, dtype=np.float64).reshape(-1, 3)
+    max_id = int(edges[:, :2].max()) if len(edges) else -1
     if max_id < 0:
         raise GraphError(f"{path}: no edges")
     return WeightedGraph(max_id + 1, edges)

@@ -48,13 +48,7 @@ class SpectralSummary:
 
 
 def dense_tree_laplacian(t: SpanningTree) -> np.ndarray:
-    L = np.zeros((t.n, t.n))
-    for u, v, w in t.edges:
-        L[u, u] += w
-        L[v, v] += w
-        L[u, v] -= w
-        L[v, u] -= w
-    return L
+    return dense_laplacian(WeightedGraph(t.n, t.edges), cap=t.n)
 
 
 def _mean_zero_basis(n: int) -> np.ndarray:

@@ -10,12 +10,11 @@ with no per-edge Python code.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, is_connected
+from .graphs import WeightedGraph, is_connected, search
 
 
 class TreeError(ValueError):
@@ -87,40 +86,34 @@ class SpanningTree:
 
     @classmethod
     def from_edges(cls, n: int, edges, root: int = 0) -> "SpanningTree":
-        """Build from an undirected edge list with exactly n-1 edges."""
+        """Build from n-1 undirected (u, v, w) edges, triples or an array.
+        They form a tree iff they connect all n vertices, and its orientation
+        is unique: a search from the root reaches each edge's parent end first."""
         if len(edges) != n - 1:
             raise TreeError(f"a spanning tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-        adj = [[] for _ in range(n)]
-        for u, v, w in edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        parent = np.full(n, -2, dtype=np.int64)
-        parent_weight = np.zeros(n)
-        parent[root] = -1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, w in adj[u]:
-                if parent[v] == -2:
-                    parent[v] = u
-                    parent_weight[v] = w
-                    queue.append(v)
-        if np.any(parent == -2):
+        e = np.asarray(edges, dtype=np.float64).reshape(n - 1, 3)
+        u = e[:, 0].astype(np.int64)
+        v = e[:, 1].astype(np.int64)
+        order, starts = search(n, u, v, root)
+        if len(starts) > 1:
             raise TreeError("edge list is not connected")
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        child = np.where(pos[u] > pos[v], u, v)
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[child] = np.where(child == u, v, u)
+        parent_weight = np.zeros(n)
+        parent_weight[child] = e[:, 2]
         return cls(parent, parent_weight, root=root)
 
     @property
     def edges(self):
         """Tree edges as canonical (min, max, w) tuples, sorted."""
-        out = []
-        for u in range(self.n):
-            if u == self.root:
-                continue
-            p = int(self.parent[u])
-            a, b = (u, p) if u < p else (p, u)
-            out.append((a, b, float(self.parent_weight[u])))
-        out.sort()
-        return out
+        child = np.flatnonzero(self.parent >= 0)
+        a = np.minimum(child, self.parent[child])
+        b = np.maximum(child, self.parent[child])
+        idx = np.lexsort((b, a))
+        return list(zip(a[idx].tolist(), b[idx].tolist(), self.parent_weight[child[idx]].tolist()))
 
     # -- DFS preorder and LCA ---------------------------------------------
 

@@ -22,6 +22,10 @@ from treepcg.cli import (
 )
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestExperimentSpec:
     def test_requires_seeds(self):
         with pytest.raises(CliError, match="seed"):
@@ -108,6 +112,13 @@ class TestScaling:
         header = p1.read_text().splitlines()[0]
         assert header == "m,seed,stretch_total,stretch_cbrt,iterations,k_bound"
 
+    def test_csv_bytes_pinned(self, tmp_path):
+        # sha256 recorded at the commit before graphs were built from arrays
+        out = tmp_path / "s.csv"
+        assert main(["scaling", "--gen", "grid:10x10:logw", "--gen", "gnp:n=150,p=0.02:unit",
+                     "--tree", "akpw", "--seeds", "0,1", "--out", str(out)]) == 0
+        assert _sha256(out) == "9f4019eff580596055a3a9c002f29866325a109659780d7039a827e2f8b7278c"
+
 
 class TestSolve:
     def _write_path_graph(self, tmp_path, n=5):
@@ -154,6 +165,22 @@ class TestSolve:
         assert main(["solve", "--graph", str(tmp_path / "no.txt"),
                      "--b", str(tmp_path / "no.txt"), "--out", "x"]) == 2
 
+    @pytest.mark.parametrize("tree, x_digest, sidecar_digest", [
+        ("maxw", "010f27fd75db1cb0e2ae4a68596c3a59181e27069176759cd107b0cfd33027ea",
+         "503e09a7f3ba908097178a4c72d9080d04fe4ed076209dd0c03b05a8f472bad7"),
+        ("akpw", "79e4f5421a0c6a80af912cac35469f7e81e0b30e3af9e5b06f4a1a4d25bada58",
+         "a6d7853e92e55324f6f912a87156f08da7744249135b2575e29775e6e2c8d642"),
+    ])
+    def test_solution_bytes_pinned(self, tmp_path, tree, x_digest, sidecar_digest):
+        # sha256 recorded at the commit before graphs were built from arrays
+        gp, bp, out = tmp_path / "g.txt", tmp_path / "b.txt", tmp_path / "x.txt"
+        assert main(["gen", "--gen", "grid:30x30:logw", "--seeds", "0", "--out", str(gp)]) == 0
+        bp.write_text("".join(f"{(i * 7919) % 13 - 6.0!r}\n" for i in range(900)))
+        assert main(["solve", "--graph", str(gp), "--b", str(bp), "--tree", tree,
+                     "--out", str(out)]) == 0
+        assert _sha256(out) == x_digest
+        assert _sha256(tmp_path / "x.txt.json") == sidecar_digest
+
 
 class TestGenAndStretch:
     def test_gen_round_trip(self, tmp_path):
@@ -162,6 +189,18 @@ class TestGenAndStretch:
                      "--out", str(out)]) == 0
         g = read_edge_list(out)
         assert g.n >= 2 and g.m >= g.n - 1
+
+    @pytest.mark.parametrize("spec, digest", [
+        ("grid:13x9:logw", "e2b288027170a8d095bd36e604bd7dd9eb718574d93ad320972da2b10173d231"),
+        # a giant component of 206 of 300 vertices: pins the relabelling
+        ("gnp:n=300,p=0.006:logw", "7e468e24dd6bda06c8dcb8949d69f4a13bd89ec5eb7c0fab6701990b5b6bdb02"),
+        ("regular:n=200,d=3:unit", "03b1d5245ed48d1b36c13914cc94ac8c45c9d9f1144ada53b9184d515c7d5591"),
+    ])
+    def test_gen_bytes_pinned(self, tmp_path, spec, digest):
+        # sha256 recorded at the commit before graphs were built from arrays
+        out = tmp_path / "g.txt"
+        assert main(["gen", "--gen", spec, "--seeds", "1", "--out", str(out)]) == 0
+        assert _sha256(out) == digest
 
     def test_stretch_outputs(self, tmp_path):
         prefix = tmp_path / "rep"

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from treepcg import (
     read_edge_list,
     write_edge_list,
 )
+from treepcg.graphs import _giant_component, search
 
 
 def triangle():
@@ -40,6 +45,172 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match="out of range"):
             WeightedGraph(2, [(0, 2, 1.0)])
+
+
+def reference_validate(n, edges):
+    """The per-edge validation loop the array code replaced: the message of
+    the error WeightedGraph(n, edges) must raise, or None."""
+    canon = []
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            return f"vertex id out of range in edge ({u}, {v})"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (w > 0.0) or not math.isfinite(w):
+            return f"edge ({u}, {v}) has nonpositive weight {w}"
+        canon.append((min(u, v), max(u, v)))
+    canon.sort()
+    for a, b in zip(canon, canon[1:]):
+        if a == b:
+            return f"duplicate edge ({a[0]}, {a[1]})"
+    return None
+
+
+class TestValidation:
+    FAULTS = {
+        "out of range": lambda u, v, w, n: (u, n + 3, w),
+        "negative id": lambda u, v, w, n: (-1, v, w),
+        "self-loop": lambda u, v, w, n: (u, u, w),
+        "zero weight": lambda u, v, w, n: (u, v, 0.0),
+        "negative weight": lambda u, v, w, n: (u, v, -2.5),
+        "nan weight": lambda u, v, w, n: (u, v, float("nan")),
+        "inf weight": lambda u, v, w, n: (u, v, float("inf")),
+    }
+
+    def random_edges(self, rng, n=30, m=60):
+        pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, (3 * m, 2)) if a != b}
+        pairs = {(min(p), max(p)) for p in pairs}
+        edges = [(u, v, float(w)) if rng.random() < 0.5 else (v, u, float(w))
+                 for (u, v), w in zip(sorted(pairs)[:m], rng.uniform(0.1, 10.0, m))]
+        return [edges[i] for i in rng.permutation(len(edges))]
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_first_offending_edge_in_input_order(self, rng, fault):
+        for _ in range(20):
+            edges = self.random_edges(rng)
+            # two faults of this kind and one other later fault: the first wins
+            i, j = sorted(rng.choice(len(edges) - 1, 2, replace=False))
+            edges[i] = self.FAULTS[fault](*edges[i], 30)
+            edges[j] = self.FAULTS[fault](*edges[j], 30)
+            edges[-1] = (edges[-1][0], edges[-1][0], 1.0)
+            want = reference_validate(30, edges)
+            assert want is not None
+            with pytest.raises(GraphError) as exc:
+                WeightedGraph(30, edges)
+            assert str(exc.value) == want
+            with pytest.raises(GraphError) as exc:
+                WeightedGraph(30, np.array(edges))
+            assert str(exc.value) == want
+
+    def test_duplicate_reports_first_in_sorted_order(self, rng):
+        for _ in range(20):
+            edges = self.random_edges(rng)
+            for k in rng.choice(len(edges), 3, replace=False):
+                u, v, w = edges[k]
+                edges.insert(int(rng.integers(0, len(edges) + 1)), (v, u, w + 1.0))
+            want = reference_validate(30, edges)
+            assert want.startswith("duplicate edge")
+            with pytest.raises(GraphError) as exc:
+                WeightedGraph(30, edges)
+            assert str(exc.value) == want
+
+    def test_accepts_lists_arrays_and_empty(self, rng):
+        edges = self.random_edges(rng)
+        assert reference_validate(30, edges) is None
+        g = WeightedGraph(30, edges)
+        h = WeightedGraph(30, np.array(edges))
+        assert g.edges == h.edges == sorted((min(u, v), max(u, v), w) for u, v, w in edges)
+        for empty in ([], np.zeros((0, 3))):
+            e = WeightedGraph(4, empty)
+            assert e.m == 0 and e.edge_u.dtype == np.int64 and not is_connected(e)
+        assert is_connected(WeightedGraph(1, []))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(GraphError, match="triples"):
+            WeightedGraph(3, [(0, 1), (1, 2)])
+
+
+def reference_giant(n, u, v):
+    """Largest component by networkx, ties to the smallest vertex, relabelled
+    in increasing id, edges in input order."""
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(zip(u.tolist(), v.tolist()))
+    best = max(nx.connected_components(G), key=lambda c: (len(c), -min(c)))
+    label = {x: i for i, x in enumerate(sorted(best))}
+    kept = [(label[a], label[b]) for a, b in zip(u.tolist(), v.tolist()) if a in best]
+    return len(best), kept
+
+
+def union_of_components(rng, sizes):
+    """A random graph that is the disjoint union of connected pieces of the
+    given sizes (random trees plus a few extra edges), vertex ids shuffled."""
+    pairs, base = set(), 0
+    for k in sizes:
+        pairs.update((base + int(rng.integers(0, x)), base + x) for x in range(1, k))
+        for _ in range(k // 3):
+            a, b = sorted(rng.integers(0, k, 2).tolist())
+            if a != b:
+                pairs.add((base + a, base + b))
+        base += k
+    perm = rng.permutation(base)
+    uv = perm[np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)]
+    uv = uv[rng.permutation(len(uv))]
+    return base, uv[:, 0], uv[:, 1]
+
+
+class TestSearch:
+    @pytest.mark.parametrize("sizes", [[1], [5], [3, 3], [4, 1, 4, 2], [1, 1, 1], [7, 7, 7, 2],
+                                       [30, 12, 30, 1, 1, 5], [200]])
+    def test_components_match_networkx(self, rng, sizes):
+        for _ in range(5):
+            n, u, v = union_of_components(rng, sizes)
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from(zip(u.tolist(), v.tolist()))
+            for root in (0, n - 1, int(rng.integers(0, n))):
+                order, starts = search(n, u, v, root)
+                assert sorted(order.tolist()) == list(range(n))
+                comps = [set(c) for c in np.split(order, starts[1:])]
+                assert sorted(map(sorted, comps)) == sorted(map(sorted, nx.connected_components(G)))
+                assert order[0] == root
+                smallest = [min(c) for c in comps[1:]]
+                assert smallest == sorted(smallest) and order[starts[1:]].tolist() == smallest
+                pos = np.empty(n, dtype=np.int64)
+                pos[order] = np.arange(n)
+                for i, x in enumerate(order.tolist()):
+                    if i not in starts:
+                        assert any(pos[y] < i for y in G[x])
+            g = WeightedGraph(n, np.column_stack((u, v, np.ones(len(u)))))
+            assert is_connected(g) == nx.is_connected(G)
+            size, gu, gv = _giant_component(n, u, v)
+            want_size, want_edges = reference_giant(n, u, v)
+            assert size == want_size
+            assert list(zip(gu.tolist(), gv.tolist())) == want_edges
+
+    # n = 1600 has 1,279,200 pairs, more than one block of uniforms
+    @pytest.mark.parametrize("n, p, seed", [(1600, 0.0008, 0), (300, 0.006, 4)])
+    def test_gnp_is_giant_component_of_all_pairs(self, n, p, seed):
+        rng = np.random.default_rng([seed, 0x5EED])
+        iu, iv = np.triu_indices(n, k=1)
+        mask = rng.random(len(iu)) < p
+        size, kept = reference_giant(n, iu[mask], iv[mask])
+        assert 2 < size < n
+        weights = 10.0 ** np.random.default_rng([seed, 0x17]).uniform(-1.0, 1.0, len(kept))
+        g = generate(f"gnp:n={n},p={p}:logw", seed)
+        assert g.n == size
+        assert g.edges == sorted((a, b, w) for (a, b), w in zip(kept, weights.tolist()))
+
+    def test_gnp_memory_is_not_quadratic(self):
+        # all 12.5M candidate pairs at once took a 299 MB peak
+        tracemalloc.start()
+        try:
+            generate("gnp:n=5000,p=0.001:unit", seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestLaplacianApply:

@@ -320,3 +320,59 @@ class TestSpanningTreeStructure:
     def test_from_edges_disconnected(self):
         with pytest.raises(TreeError, match="connected"):
             SpanningTree.from_edges(4, [(0, 1, 1.0), (0, 1, 2.0), (2, 3, 1.0)])
+
+    def test_from_edges_rejects_cycle_leaving_a_vertex_out(self):
+        # n - 1 edges: a triangle on 0, 1, 2 and a path 3-4, vertex 5 alone
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, 1.0), (4, 2, 1.0)]
+        with pytest.raises(TreeError, match="connected"):
+            SpanningTree.from_edges(6, edges)
+
+    @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
+    def test_from_edges_matches_reference_parents(self, rng, kind):
+        for n in (1, 2, 3, 50, 301):
+            t = deep_tree(kind, n, rng, 2) if n > 1 else random_tree(1, rng)
+            edges = [(u, v, w) if rng.random() < 0.5 else (v, u, w) for u, v, w in t.edges]
+            edges = [edges[i] for i in rng.permutation(len(edges))]
+            for root in {0, n - 1, int(rng.integers(0, n))}:
+                tr = SpanningTree.from_edges(n, edges, root=root)
+                parent, weight = reference_orientation(n, edges, root)
+                assert tr.root == root
+                assert tr.parent.tolist() == parent and tr.parent_weight.tolist() == weight
+                assert tr.edges == t.edges
+            assert SpanningTree.from_edges(n, np.array(edges).reshape(-1, 3)).edges == t.edges
+
+    def test_edges_sorted_canonical(self, rng):
+        for n in (1, 2, 40):
+            t = random_tree(n, rng, weights="logw")
+            want = sorted((min(u, int(t.parent[u])), max(u, int(t.parent[u])), float(t.parent_weight[u]))
+                          for u in range(n) if u != t.root)
+            assert t.edges == want
+
+    def test_dense_tree_laplacian_matches_loop(self, rng):
+        for n in (1, 2, 60):
+            t = random_tree(n, rng, weights="logw")
+            L = np.zeros((n, n))
+            for u, v, w in t.edges:
+                L[u, u] += w
+                L[v, v] += w
+                L[u, v] -= w
+                L[v, u] -= w
+            assert np.array_equal(dense_tree_laplacian(t), L)
+
+
+def reference_orientation(n, edges, root):
+    """Parent links and parent-edge weights by a walk out from the root."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    parent, weight = [-2] * n, [0.0] * n
+    parent[root] = -1
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v, w in adj[u]:
+            if parent[v] == -2:
+                parent[v], weight[v] = u, w
+                stack.append(v)
+    return parent, weight
