@@ -107,7 +107,10 @@ def run_verify(spec: ExperimentSpec) -> dict:
             rng = np.random.default_rng([seed, 0xB0])
             b = rng.standard_normal(g.n)
             b -= b.mean()
-            x_true = np.linalg.pinv(dense_laplacian(g, cap=spec.dense_cap)) @ b
+            # grounded at vertex 0, then shifted to the mean-zero (pinv) solution
+            x_true = np.zeros(g.n)
+            x_true[1:] = np.linalg.solve(dense_laplacian(g, cap=spec.dense_cap)[1:, 1:], b[1:])
+            x_true -= x_true.mean()
             f = factor(t)
             cfg = PcgConfig(
                 epsilon=spec.epsilon,

@@ -127,11 +127,10 @@ def dense_laplacian(g: WeightedGraph, cap: int = DEFAULT_DENSE_CAP) -> np.ndarra
     if g.n > cap:
         raise GraphError(f"n={g.n} exceeds dense cap {cap}")
     L = np.zeros((g.n, g.n))
-    for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
-        L[u, u] += w
-        L[v, v] += w
-        L[u, v] -= w
-        L[v, u] -= w
+    L[g.edge_u, g.edge_v] = L[g.edge_v, g.edge_u] = -g.edge_w
+    # bincount adds the interleaved ends in edge order, as a per-edge loop would
+    ends = np.stack([g.edge_u, g.edge_v], axis=1).ravel()
+    L[np.diag_indices(g.n)] = np.bincount(ends, np.repeat(g.edge_w, 2), minlength=g.n)
     return L
 
 

@@ -1,11 +1,12 @@
 """Dense brute-force oracle for the preconditioned spectrum at desk scale.
 
-Computes the nonzero generalized eigenvalues of (L_G, L_T) as the spectrum of
-L_T^{+/2} L_G L_T^{+/2} restricted to the mean-zero subspace.  The all-ones
-direction is the shared nullspace of both Laplacians, so it is deflated
-explicitly by projection onto an orthonormal basis of its complement instead
-of discarding a numerically indeterminate eigenvalue.  Everything here is
-O(n^3) and capped; it certifies claims, it does not scale.
+Grounded at the tree's root, L_T^{-1} = R W^{-1} R^T: R[u, c] = 1 iff the
+non-root vertex c is u or an ancestor of u, and W holds the parent-edge
+weights.  The nonzero generalized eigenvalues of (L_G, L_T) are then those of
+F^T L_G F with F = R W^{-1/2}, one eigensolve with no pseudo-inverse.  F comes
+from parent links alone, independent of the LCA path sums behind the stretch
+report.  Everything here is O(n^3) and capped; it certifies claims, it does
+not scale.
 """
 from __future__ import annotations
 
@@ -51,11 +52,14 @@ def dense_tree_laplacian(t: SpanningTree) -> np.ndarray:
     return dense_laplacian(WeightedGraph(t.n, t.edges), cap=t.n)
 
 
-def _mean_zero_basis(n: int) -> np.ndarray:
-    """Orthonormal n x (n-1) basis of the complement of the all-ones vector."""
-    A = np.eye(n) - np.full((n, n), 1.0 / n)
-    Q, _ = np.linalg.qr(A[:, : n - 1])
-    return Q
+def _tree_path_factor(t: SpanningTree) -> np.ndarray:
+    """F = R[:, non-root] / sqrt(parent weights), so F F^T is L_T^{-1} grounded
+    at the root; each row copies its parent's row, in BFS order."""
+    R = np.zeros((t.n, t.n))
+    for u in t.order[1:].tolist():
+        R[u] = R[t.parent[u]]
+        R[u, u] = 1.0
+    return np.delete(R, t.root, axis=1) / np.sqrt(np.delete(t.parent_weight, t.root))
 
 
 def generalized_spectrum(
@@ -69,16 +73,9 @@ def generalized_spectrum(
     if not tree_spans(g, t):
         raise TreeError("tree does not span the graph with matching weights")
     LG = dense_laplacian(g, cap=cap)
-    LT = dense_tree_laplacian(t)
-    w, V = np.linalg.eigh(LT)
-    thresh = 1e-12 * w[-1]
-    inv_sqrt = np.where(w > thresh, 1.0 / np.sqrt(np.maximum(w, thresh)), 0.0)
-    Ltph = (V * inv_sqrt) @ V.T
-    M = Ltph @ LG @ Ltph
-    M = 0.5 * (M + M.T)
-    Q = _mean_zero_basis(g.n)
-    ev = np.linalg.eigvalsh(Q.T @ M @ Q)
-    ev = np.sort(ev)
+    F = _tree_path_factor(t)
+    M = F.T @ LG @ F
+    ev = np.linalg.eigvalsh(0.5 * (M + M.T))
     if len(ev) != g.n - 1:
         raise RuntimeError("eigensolver returned an unexpected number of eigenvalues")
     return SpectralSummary(

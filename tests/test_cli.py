@@ -66,6 +66,45 @@ class TestVerify:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    # (iterations_observed, bound_exact_spectrum, bound_stretch_only,
+    # tail_violations) for seeds 0 and 1, recorded at the commit before the
+    # oracle used the tree-path factor and a grounded solve for x_true
+    @pytest.mark.parametrize("spec, tree, want", [
+        ("grid:20x20:logw", "maxw", [(37, 46, 109, 0), (37, 46, 110, 0)]),
+        ("grid:20x20:logw", "akpw", [(84, 114, 256, 0), (77, 97, 250, 0)]),
+        ("gnp:n=450,p=0.02:logw", "maxw", [(57, 72, 184, 0), (60, 75, 186, 0)]),
+        ("gnp:n=450,p=0.02:logw", "akpw", [(124, 161, 348, 0), (126, 170, 306, 0)]),
+        ("regular:n=400,d=4:unit", "maxw", [(69, 88, 213, 0), (68, 83, 216, 0)]),
+        ("regular:n=400,d=4:unit", "akpw", [(69, 85, 176, 0), (69, 92, 175, 0)]),
+    ])
+    def test_desk_verdicts_pinned(self, spec, tree, want):
+        report = run_verify(ExperimentSpec(generator=spec, tree_method=tree, seeds=[0, 1]))
+        assert report["failures"] == 0
+        got = [(r["iterations_observed"], r["bound_exact_spectrum"], r["bound_stretch_only"],
+                r["tail_violations"]) for r in report["records"]]
+        assert got == want
+        for r in report["records"]:
+            assert r["trace_ok"] and r["tails_ok"] and r["pcg_ok"] and r["ok"]
+
+    @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
+                                      "regular:n=400,d=4:unit"])
+    def test_x_true_is_the_pinv_solution(self, monkeypatch, spec):
+        seen = []
+
+        def capture(g, f, b, cfg, x_true=None):
+            seen.append((g, b, x_true))
+            return real(g, f, b, cfg, x_true=x_true)
+
+        real = treepcg.cli.pcg_solve
+        monkeypatch.setattr(treepcg.cli, "pcg_solve", capture)
+        run_verify(ExperimentSpec(generator=spec, tree_method="akpw", seeds=[0]))
+        (g, b, x), = seen
+        L = treepcg.dense_laplacian(g)
+        ref = np.linalg.pinv(L) @ b
+        assert abs(x.mean()) <= 1e-15 * np.abs(x).max()
+        d = x - ref
+        assert math.sqrt(d @ L @ d) <= 1e-12 * math.sqrt(ref @ L @ ref)
+
     def test_malformed_spec_names_field(self, capsys):
         assert main(["verify", "--gen", "grid:banana:unit"]) == 2
         err = capsys.readouterr().err
@@ -259,3 +298,15 @@ class TestImports:
         code = "import sys, treepcg, treepcg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_verify_loads_no_scipy(self, tmp_path):
+        # the dense oracle and x_true stay on numpy: importing scipy.linalg
+        # would add more resident memory than the benchmark's bound allows
+        src = str(Path(treepcg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from treepcg.cli import main; "
+                f"rc = main(['verify', '--gen', 'regular:n=40,d=4:logw', '--tree', 'akpw', "
+                f"'--out', {str(tmp_path / 'r.json')!r}]); "
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0 []"

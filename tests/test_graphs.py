@@ -282,6 +282,22 @@ class TestDenseLaplacian:
         with pytest.raises(GraphError, match="cap"):
             dense_laplacian(g, cap=10)
 
+    @pytest.mark.parametrize("spec", [
+        "grid:12x9:unit", "grid:12x9:logw", "gnp:n=150,p=0.05:unit", "gnp:n=150,p=0.05:logw",
+        "regular:n=120,d=5:unit", "regular:n=120,d=5:logw",
+    ])
+    def test_matches_per_edge_loop(self, spec):
+        # the per-edge loop this function used to be: each diagonal entry adds
+        # its edges' weights in edge order, which the whole-array form keeps
+        g = generate(spec, seed=3)
+        L = np.zeros((g.n, g.n))
+        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
+            L[u, u] += w
+            L[v, v] += w
+            L[u, v] -= w
+            L[v, u] -= w
+        assert np.array_equal(dense_laplacian(g), L)
+
 
 class TestConnectivity:
     def test_isolated_vertices(self):

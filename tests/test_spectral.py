@@ -17,8 +17,10 @@ from treepcg import (
     stretch_report,
     tail_count,
 )
+from treepcg.spectral import _tree_path_factor
+from treepcg.trees import path_resistance
 
-from conftest import random_tree
+from conftest import deep_tree, random_tree, root_path
 
 
 def triangle_setup():
@@ -84,6 +86,90 @@ class TestGeneralizedSpectrum:
         assert d["trace"] == pytest.approx(4.0)
         lines = (tmp_path / "s.csv").read_text().strip().splitlines()
         assert lines[0] == "eigenvalue" and len(lines) == 3
+
+
+def pinv_route_spectrum(g, t):
+    """The oracle before the tree-path factor: L_T^{+/2} L_G L_T^{+/2} from
+    eigh(L_T) with a 1e-12 threshold, deflated onto a QR basis of the
+    mean-zero subspace.  Its accuracy is about eps * cond(L_T)."""
+    n = g.n
+    w, V = np.linalg.eigh(dense_tree_laplacian(t))
+    thresh = 1e-12 * w[-1]
+    inv_sqrt = np.where(w > thresh, 1.0 / np.sqrt(np.maximum(w, thresh)), 0.0)
+    Ltph = (V * inv_sqrt) @ V.T
+    M = Ltph @ dense_laplacian(g) @ Ltph
+    M = 0.5 * (M + M.T)
+    Q, _ = np.linalg.qr((np.eye(n) - np.full((n, n), 1.0 / n))[:, : n - 1])
+    return np.sort(np.linalg.eigvalsh(Q.T @ M @ Q))
+
+
+def path_walk_spectrum(g, t):
+    """Squared singular values of the m x (n-1) matrix whose row for the edge
+    (u, v, w) holds +-sqrt(w / w_c) on each tree edge c of the u-v path, found
+    by walking parent links.  Its entries are exact to rounding, so this is
+    accurate to about eps * lambda_max whatever the tree's weights."""
+    col = {c: i for i, c in enumerate(c for c in range(t.n) if c != t.root)}
+    D = np.zeros((g.m, t.n - 1))
+    for e, (u, v, w) in enumerate(g.edges):
+        up = root_path(t, u)
+        while v not in up:
+            D[e, col[v]] = -np.sqrt(w / t.parent_weight[v])
+            v = int(t.parent[v])
+        while u != v:
+            D[e, col[u]] = np.sqrt(w / t.parent_weight[u])
+            u = int(t.parent[u])
+    return np.sort(np.linalg.svd(D, compute_uv=False) ** 2)
+
+
+def graph_over(t, rng):
+    """t plus up to 2n random non-tree edges, each weighted to a stretch
+    log-uniform in [0.1, 10], so that lambda_max stays moderate."""
+    n = t.n
+    u, v = rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
+    pairs = set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    pairs -= {(a, b) for a, b, _ in t.edges}
+    pu, pv = (np.array(sorted(p for p in pairs if p[0] != p[1])).T)
+    w = 10.0 ** rng.uniform(-1.0, 1.0, len(pu)) / path_resistance(t, pu, pv)
+    return WeightedGraph(n, list(t.edges) + list(zip(pu.tolist(), pv.tolist(), w.tolist())))
+
+
+class TestTreePathFactor:
+    @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
+    @pytest.mark.parametrize("decades", [1, 4])
+    def test_matches_reference_spectra(self, rng, kind, decades):
+        n = 120
+        t = SpanningTree.from_edges(n, deep_tree(kind, n, rng, decades).edges, root=n // 3 + 1)
+        g = graph_over(t, rng)
+        ev = generalized_spectrum(g, t).eigenvalues
+        walk = path_walk_spectrum(g, t)
+        pinv = pinv_route_spectrum(g, t)
+        new_err = np.max(np.abs(ev - walk) / walk)
+        if decades == 1:
+            assert np.max(np.abs(ev - pinv) / pinv) <= 1e-10
+            assert new_err <= 1e-10
+        else:
+            # with weights 10^+-4 the pinv route is off by up to ~1e-7 per
+            # eigenvalue; the factor route may not be less accurate than it
+            assert new_err <= 1e-9
+            assert new_err <= np.max(np.abs(pinv - walk) / walk)
+
+    def test_factor_inverts_grounded_tree_laplacian(self, rng):
+        for kind in ("path", "star", "random", "broom"):
+            t = SpanningTree.from_edges(50, deep_tree(kind, 50, rng, 1).edges, root=7)
+            F = _tree_path_factor(t)
+            keep = np.arange(t.n) != t.root
+            assert np.allclose(F[keep] @ F[keep].T @ dense_tree_laplacian(t)[np.ix_(keep, keep)],
+                               np.eye(t.n - 1), atol=1e-9)
+            assert not F[t.root].any()
+
+    @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
+                                      "regular:n=400,d=4:unit"])
+    @pytest.mark.parametrize("method", ["maxw", "akpw"])
+    def test_trace_equals_stretch_to_rounding(self, spec, method):
+        g = generate(spec, seed=0)
+        t = max_weight_spanning_tree(g) if method == "maxw" else low_stretch_heuristic_tree(g, 0)
+        st = stretch_report(g, t).total
+        assert abs(generalized_spectrum(g, t).trace - st) <= 1e-13 * st
 
 
 class TestTailCount:
