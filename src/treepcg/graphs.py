@@ -275,30 +275,63 @@ def generate(spec, seed: int) -> WeightedGraph:
 # edge-list I/O: one edge per line, "u v w"
 
 
+def _loadtxt(fh, text, dtype, ndmin):
+    """``np.loadtxt`` of the open file ``fh`` whose whole text is ``text``,
+    for text with data and no ``#`` (loadtxt would strip a trailing comment
+    that the line reader rejects); None where it fails, so that the line
+    reader can name the line.  Parsing from the file, not from ``text``,
+    keeps a second copy of the text out of memory."""
+    if "#" in text or not text.strip():
+        return None
+    fh.seek(0)
+    try:
+        return np.loadtxt(fh, dtype=dtype, ndmin=ndmin)
+    except ValueError:
+        return None
+
+
 def read_edge_list(path) -> WeightedGraph:
-    values = []
+    """The graph on 0..max id.  A file ``np.loadtxt`` parses whole with no
+    self-loop or nonpositive weight skips the line reader, which otherwise
+    names the first bad line."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise GraphError(f"{path}:{lineno}: expected 'u v w', got {line!r}")
-            try:
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise GraphError(f"{path}:{lineno}: could not parse {line!r}") from exc
-            if u == v:
-                raise GraphError(f"{path}:{lineno}: self-loop at vertex {u}")
-            if not (w > 0.0):
-                raise GraphError(f"{path}:{lineno}: nonpositive weight {w}")
-            values += (u, v, w)
-    edges = np.array(values, dtype=np.float64).reshape(-1, 3)
+        text = fh.read()
+        rec = _loadtxt(fh, text, [("u", "i8"), ("v", "i8"), ("w", "f8")], 1)
+    if rec is not None and not (rec["u"] == rec["v"]).any() and (rec["w"] > 0.0).all():
+        edges = np.column_stack((rec["u"], rec["v"], rec["w"]))
+    else:
+        edges = _parse_edge_lines(path, text)
     max_id = int(edges[:, :2].max()) if len(edges) else -1
     if max_id < 0:
         raise GraphError(f"{path}: no edges")
     return WeightedGraph(max_id + 1, edges)
+
+
+def _data_lines(text):
+    """(line number, stripped line) for each line that is not blank or a comment."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _parse_edge_lines(path, text) -> np.ndarray:
+    """Line by line, raising a line-numbered GraphError for the first bad line."""
+    values = []
+    for lineno, line in _data_lines(text):
+        parts = line.split()
+        if len(parts) != 3:
+            raise GraphError(f"{path}:{lineno}: expected 'u v w', got {line!r}")
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise GraphError(f"{path}:{lineno}: could not parse {line!r}") from exc
+        if u == v:
+            raise GraphError(f"{path}:{lineno}: self-loop at vertex {u}")
+        if not (w > 0.0):
+            raise GraphError(f"{path}:{lineno}: nonpositive weight {w}")
+        values += (u, v, w)
+    return np.array(values, dtype=np.float64).reshape(-1, 3)
 
 
 def write_edge_list(g: WeightedGraph, path) -> None:
@@ -308,16 +341,17 @@ def write_edge_list(g: WeightedGraph, path) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    values = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise GraphError(f"{path}:{lineno}: could not parse {line!r}") from exc
+        text = fh.read()
+        x = _loadtxt(fh, text, np.float64, 2)
+    if x is not None and x.shape[1] == 1:
+        return x.ravel()
+    values = []
+    for lineno, line in _data_lines(text):
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise GraphError(f"{path}:{lineno}: could not parse {line!r}") from exc
     return np.array(values)
 
 

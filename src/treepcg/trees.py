@@ -47,32 +47,36 @@ class SpanningTree:
         n = len(parent)
         if parent[root] != -1:
             raise TreeError(f"parent of root {root} must be -1")
-        children = [[] for _ in range(n)]
-        for u in range(n):
-            p = parent[u]
-            if u == root:
-                continue
-            if not (0 <= p < n):
-                raise TreeError(f"vertex {u} has invalid parent {p}")
-            if not (parent_weight[u] > 0.0):
-                raise TreeError(f"edge ({u}, {p}) has nonpositive weight")
-            children[p].append(u)
+        nonroot = np.arange(n) != root
+        bad_parent = nonroot & ~((0 <= parent) & (parent < n))
+        bad = bad_parent | (nonroot & ~(parent_weight > 0.0))
+        if bad.any():
+            u = int(bad.argmax())       # the first bad vertex; a bad parent wins
+            if bad_parent[u]:
+                raise TreeError(f"vertex {u} has invalid parent {parent[u]}")
+            raise TreeError(f"edge ({u}, {parent[u]}) has nonpositive weight")
 
-        order = np.empty(n, dtype=np.int64)
-        depth = np.zeros(n, dtype=np.int64)
-        prefix = np.zeros(n)
-        order[0] = root
-        head, tail = 0, 1
-        while head < tail:
-            u = order[head]
-            head += 1
-            for c in children[u]:
-                depth[c] = depth[u] + 1
-                prefix[c] = prefix[u] + 1.0 / parent_weight[c]
-                order[tail] = c
-                tail += 1
-        if tail != n:
+        # children in ascending id; the root, whose parent is -1, sorts first
+        kids = np.argsort(parent, kind="stable")[1:]
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(parent[kids], minlength=n)))).tolist()
+        kids = kids.tolist()
+        order = [root]
+        for x in order:             # the list grows while it is iterated
+            order += kids[ptr[x]:ptr[x + 1]]
+        if len(order) != n:
             raise TreeError("parent links do not reach every vertex from the root")
+        # parents before children, so each prefix is its parent's plus one term
+        par = parent.tolist()
+        inv = (1.0 / np.where(nonroot, parent_weight, 1.0)).tolist()
+        depth = [0] * n
+        prefix = [0.0] * n
+        for c in order[1:]:
+            p = par[c]
+            depth[c] = depth[p] + 1
+            prefix[c] = prefix[p] + inv[c]
+        order = np.array(order, dtype=np.int64)
+        depth = np.array(depth, dtype=np.int64)
+        prefix = np.array(prefix)
 
         self.n = n
         self.root = root
@@ -336,28 +340,29 @@ def low_stretch_heuristic_tree(g: WeightedGraph, seed: int) -> SpanningTree:
 
     Rounds of ball growing: each ball expands a BFS layer at a time while it
     at least doubles (growth factor 2), recording for every absorbed vertex
-    the heaviest edge that reached it.  Balls become supervertices, parallel
-    edges collapse to their heaviest representative, and the process repeats
+    the heaviest edge that reached it (among equals, the first one found).
+    Balls become supervertices, parallel edges collapse to their heaviest
+    representative (ties to the first in edge order), and the process repeats
     until one vertex remains.  No stretch guarantee is claimed; stretch is
     always measured exactly afterwards.
     """
     if not is_connected(g):
         raise TreeError("graph must be connected")
     rng = np.random.default_rng([int(seed), 0xA5])
-    # current multigraph over supervertices; edges carry original edge ids
+    # current multigraph over supervertices, sorted by (u, v); each edge
+    # carries its original edge id
     n_cur = g.n
-    cur_edges = [
-        (int(u), int(v), float(w), i)
-        for i, (u, v, w) in enumerate(zip(g.edge_u, g.edge_v, g.edge_w))
-    ]
-    chosen_ids = []
+    u, v, w, eid = g.edge_u, g.edge_v, g.edge_w, np.arange(g.m)
+    chosen = []
     while n_cur > 1:
-        adj = [[] for _ in range(n_cur)]
-        for u, v, w, eid in cur_edges:
-            adj[u].append((v, w, eid))
-            adj[v].append((u, w, eid))
+        # adjacency lists, each vertex's edges in edge order
+        ends = np.stack((u, v), 1).ravel()
+        slots = np.argsort(ends, kind="stable")
+        nbr = np.stack((v, u), 1).ravel()[slots].tolist()
+        wt = w[slots >> 1].tolist()
+        ids = eid[slots >> 1].tolist()
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n_cur)))).tolist()
         assigned = [-1] * n_cur
-        via = [-1] * n_cur  # original edge id that pulled the vertex in
         n_clusters = 0
         for center in rng.permutation(n_cur).tolist():
             if assigned[center] != -1:
@@ -365,40 +370,39 @@ def low_stretch_heuristic_tree(g: WeightedGraph, seed: int) -> SpanningTree:
             cid = n_clusters
             n_clusters += 1
             assigned[center] = cid
-            ball = [center]
+            size = 1
             frontier = [center]
             while True:
-                layer = {}
-                for u in frontier:
-                    for v, w, eid in adj[u]:
-                        if assigned[v] != -1:
-                            continue
-                        best = layer.get(v)
-                        if best is None or w > best[0]:
-                            layer[v] = (w, eid)
-                if not layer:
+                layer = {}          # vertex -> adjacency slot of its heaviest edge
+                for x in frontier:
+                    for j in range(ptr[x], ptr[x + 1]):
+                        y = nbr[j]
+                        if assigned[y] == -1:
+                            best = layer.get(y)
+                            if best is None or wt[j] > wt[best]:
+                                layer[y] = j
+                if not layer or (len(layer) < size and size > 1):
                     break
-                if len(layer) < len(ball) and len(ball) > 1:
-                    break
-                frontier = []
-                for v in sorted(layer):
-                    assigned[v] = cid
-                    via[v] = layer[v][1]
-                    chosen_ids.append(layer[v][1])
-                    ball.append(v)
-                    frontier.append(v)
-        next_edges = {}
-        for u, v, w, eid in cur_edges:
-            cu, cv = assigned[u], assigned[v]
-            if cu == cv:
-                continue
-            key = (cu, cv) if cu < cv else (cv, cu)
-            best = next_edges.get(key)
-            if best is None or w > best[0]:
-                next_edges[key] = (w, eid)
-        cur_edges = [(u, v, w, eid) for (u, v), (w, eid) in sorted(next_edges.items())]
+                frontier = sorted(layer)
+                for y in frontier:
+                    assigned[y] = cid
+                    chosen.append(ids[layer[y]])
+                size += len(frontier)
+        # contract: of each pair of clusters keep the heaviest edge, the
+        # first in edge order among equals, and sort by the pair
+        assigned = np.array(assigned, dtype=np.int64)
+        cu, cv = assigned[u], assigned[v]
+        keep = cu != cv
+        lo = np.minimum(cu, cv)[keep]
+        hi = np.maximum(cu, cv)[keep]
+        w, eid = w[keep], eid[keep]
+        idx = np.lexsort((-w, hi, lo))
+        lo, hi = lo[idx], hi[idx]
+        first = np.ones(len(idx), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        idx = idx[first]
+        u, v, w, eid = lo[first], hi[first], w[idx], eid[idx]
         n_cur = n_clusters
-    tree_edges = [
-        (int(g.edge_u[i]), int(g.edge_v[i]), float(g.edge_w[i])) for i in chosen_ids
-    ]
-    return SpanningTree.from_edges(g.n, tree_edges)
+    chosen = np.array(chosen, dtype=np.int64)
+    edges = np.column_stack((g.edge_u[chosen], g.edge_v[chosen], g.edge_w[chosen]))
+    return SpanningTree.from_edges(g.n, edges)

@@ -259,6 +259,12 @@ class TestGenAndStretch:
             "csv": "c238e1a3f3452df6d206b0eb024cd01f76bf128c8fe0bd907dc86c28bc2ef15b",
             "json": "5b9be3c32390607b6286137dee8969e2c587eb4914d508fbc8f948bb8aeead22",
         }),
+        # unit weights tie everywhere, so akpw's adjacency order picks the
+        # tree; recorded at the commit before akpw's rounds ran on arrays
+        ("regular:n=2000,d=4:unit", "akpw", {
+            "csv": "0e038110577ee9205f543a73bb383cd7ef34a96c10045d8aa99a04cd51c5de19",
+            "json": "32eaeb635d122b2760bab83402d5f6238aef8b78ae8b0465ffbe61e2ba0183b6",
+        }),
     ])
     def test_stretch_report_bytes_pinned(self, tmp_path, spec, tree, digests):
         # sha256 of reports written by the per-edge scalar implementation

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -14,8 +15,11 @@ from treepcg import (
     laplacian_apply,
     parse_generator_spec,
     read_edge_list,
+    read_vector,
     write_edge_list,
+    write_vector,
 )
+from treepcg import graphs
 from treepcg.graphs import _giant_component, search
 
 
@@ -390,3 +394,159 @@ class TestEdgeListIO:
         p.write_text("0 1\n")
         with pytest.raises(GraphError, match=r":1"):
             read_edge_list(p)
+
+
+def reference_read_edge_list(path):
+    """The per-line reader that read_edge_list falls back to, as it was
+    before the loadtxt path: a WeightedGraph or the GraphError it raises."""
+    values = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise GraphError(f"{path}:{lineno}: expected 'u v w', got {line!r}")
+            try:
+                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise GraphError(f"{path}:{lineno}: could not parse {line!r}") from exc
+            if u == v:
+                raise GraphError(f"{path}:{lineno}: self-loop at vertex {u}")
+            if not (w > 0.0):
+                raise GraphError(f"{path}:{lineno}: nonpositive weight {w}")
+            values += (u, v, w)
+    edges = np.array(values, dtype=np.float64).reshape(-1, 3)
+    max_id = int(edges[:, :2].max()) if len(edges) else -1
+    if max_id < 0:
+        raise GraphError(f"{path}: no edges")
+    return WeightedGraph(max_id + 1, edges)
+
+
+def reference_read_vector(path):
+    values = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                values.append(float(line))
+            except ValueError as exc:
+                raise GraphError(f"{path}:{lineno}: could not parse {line!r}") from exc
+    return np.array(values)
+
+
+def outcome(read, path):
+    """What read(path) returns or raises, comparable with ==, warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = read(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+    if isinstance(r, WeightedGraph):
+        return r.n, r.edge_u.tolist(), r.edge_v.tolist(), r.edge_w.tobytes()
+    return r.dtype, r.shape, r.tobytes()
+
+
+EDGE_LIST_TEXTS = {
+    "plain": "0 1 1.5\n1 2 0.25\n0 2 3\n",
+    "comment line": "# a comment\n0 1 1.5\n1 2 2\n",
+    "comment mid-line": "0 1 1.5 # heavy\n1 2 2\n",
+    "float id": "0 1.0 1.5\n1 2 2\n",
+    "underscore id": "0 1_0 1.5\n1 2 2\n",
+    "underscore weight": "0 1 1_5\n1 2 2\n",
+    "plus sign": "+0 +1 +1.5\n1 2 2\n",
+    "negative id": "0 -1 1.5\n1 2 2\n",
+    "all ids negative": "-2 -1 1.5\n",
+    "19-digit id": "0 9223372036854775807 1.5\n",
+    "20-digit id": "0 12345678901234567890 1.5\n",
+    "leading zeros": "000 001 1.5\n1 2 2\n",
+    "tabs": "0\t1\t1.5\n1\t2\t2\n",
+    "crlf": "0 1 1.5\r\n1 2 2\r\n",
+    "lone cr": "0 1 1.5\r1 2 2\r",
+    "form feed": "0\x0c1 1.5\n1 2 2\x0c\n",
+    "vertical tab": "0\x0b1 1.5\n1 2 2\n",
+    "no-break space": "0\xa01 1.5\n1 2 2\n",
+    "whitespace-only lines": "0 1 1.5\n   \n\t\n1 2 2\n \n",
+    "no final newline": "0 1 1.5\n1 2 2",
+    "two tokens": "0 1 1.5\n1 2\n",
+    "four tokens": "0 1 1.5\n1 2 2 3\n",
+    "four tokens everywhere": "0 1 1.5 9\n1 2 2 9\n",
+    "comma separated": "0,1,1.5\n",
+    "nan weight": "0 1 nan\n1 2 2\n",
+    "nan id": "0 nan 1.5\n",
+    "inf weight": "0 1 inf\n1 2 2\n",
+    "negative zero id": "-0 1 1.5\n1 2 2\n",
+    "negative zero weight": "0 1 -0\n1 2 2\n",
+    "1e400 weight": "0 1 1e400\n1 2 2\n",
+    "1e400 id": "0 1e400 1.5\n",
+    "hex id": "0 0x1 1.5\n",
+    "unicode digit": "0 \u0663 1.5\n",
+    "self-loop": "0 1 1.5\n2 2 1\n",
+    "zero weight": "0 1 0\n1 2 2\n",
+    "negative weight": "0 1 1.5\n1 2 -2\n",
+    "duplicate": "0 1 1.5\n1 0 2\n",
+    "disconnected": "0 1 1.5\n2 3 2\n",
+    "empty": "",
+    "whitespace only": " \n\t\n",
+    "comments only": "# nothing\n",
+}
+
+
+class TestEdgeListDifferential:
+    @pytest.mark.parametrize("name", sorted(EDGE_LIST_TEXTS))
+    def test_matches_line_reader(self, tmp_path, name):
+        p = tmp_path / "g.txt"
+        p.write_bytes(EDGE_LIST_TEXTS[name].encode())
+        assert outcome(read_edge_list, p) == outcome(reference_read_edge_list, p)
+
+    def test_generated_graphs_round_trip(self, tmp_path):
+        for spec in ("grid:9x7:logw", "gnp:n=120,p=0.05:logw", "regular:n=100,d=3:unit"):
+            g = generate(spec, seed=2)
+            p = tmp_path / "g.txt"
+            write_edge_list(g, p)
+            assert outcome(read_edge_list, p) == outcome(reference_read_edge_list, p)
+            assert outcome(read_edge_list, p)[1:3] == (g.edge_u.tolist(), g.edge_v.tolist())
+
+    def test_clean_file_skips_line_reader(self, tmp_path, monkeypatch):
+        def fail(path, text):
+            raise AssertionError("line reader called")
+
+        p = tmp_path / "g.txt"
+        p.write_text(EDGE_LIST_TEXTS["plain"])
+        monkeypatch.setattr(graphs, "_parse_edge_lines", fail)
+        assert read_edge_list(p).edges == [(0, 1, 1.5), (0, 2, 3.0), (1, 2, 0.25)]
+
+
+VECTOR_TEXTS = {
+    "plain": "1.5\n-2\n0.1\n",
+    "one value": "3.25\n",
+    "comment": "# b\n1.5\n",
+    "comment mid-line": "1.5 # one\n2\n",
+    "two per line": "1.5 2\n",
+    "two on one line of two": "1.5\n2 3\n",
+    "underscore": "1_5\n2\n",
+    "special values": "nan\n-inf\n+inf\n-0\n1e400\n",
+    "crlf and blanks": "1\r\n\r\n  2\t\r\n",
+    "form feed": "1\x0c\n2\n",
+    "comma": "1,5\n",
+    "empty": "",
+    "whitespace only": "\n \n",
+}
+
+
+class TestVectorIO:
+    @pytest.mark.parametrize("name", sorted(VECTOR_TEXTS))
+    def test_matches_line_reader(self, tmp_path, name):
+        p = tmp_path / "b.txt"
+        p.write_bytes(VECTOR_TEXTS[name].encode())
+        assert outcome(read_vector, p) == outcome(reference_read_vector, p)
+
+    def test_round_trip_keeps_bits(self, tmp_path, rng):
+        x = np.concatenate((rng.standard_normal(50), [0.0, -0.0, 1e300, 5e-324, np.inf]))
+        p = tmp_path / "x.txt"
+        write_vector(x, p)
+        assert outcome(read_vector, p) == (np.dtype(np.float64), x.shape, x.tobytes())

@@ -117,6 +117,81 @@ class TestHeuristicTree:
         assert wins >= 40
 
 
+def reference_akpw_edges(g, seed):
+    """The tuple-list, dict-per-layer akpw the array rounds replaced; returns
+    the tree edges it chose, for SpanningTree.from_edges."""
+    rng = np.random.default_rng([int(seed), 0xA5])
+    n_cur = g.n
+    cur_edges = [(int(u), int(v), float(w), i)
+                 for i, (u, v, w) in enumerate(zip(g.edge_u, g.edge_v, g.edge_w))]
+    chosen_ids = []
+    while n_cur > 1:
+        adj = [[] for _ in range(n_cur)]
+        for u, v, w, eid in cur_edges:
+            adj[u].append((v, w, eid))
+            adj[v].append((u, w, eid))
+        assigned = [-1] * n_cur
+        n_clusters = 0
+        for center in rng.permutation(n_cur).tolist():
+            if assigned[center] != -1:
+                continue
+            cid = n_clusters
+            n_clusters += 1
+            assigned[center] = cid
+            ball = [center]
+            frontier = [center]
+            while True:
+                layer = {}
+                for u in frontier:
+                    for v, w, eid in adj[u]:
+                        if assigned[v] != -1:
+                            continue
+                        best = layer.get(v)
+                        if best is None or w > best[0]:
+                            layer[v] = (w, eid)
+                if not layer:
+                    break
+                if len(layer) < len(ball) and len(ball) > 1:
+                    break
+                frontier = []
+                for v in sorted(layer):
+                    assigned[v] = cid
+                    chosen_ids.append(layer[v][1])
+                    ball.append(v)
+                    frontier.append(v)
+        next_edges = {}
+        for u, v, w, eid in cur_edges:
+            cu, cv = assigned[u], assigned[v]
+            if cu == cv:
+                continue
+            key = (cu, cv) if cu < cv else (cv, cu)
+            best = next_edges.get(key)
+            if best is None or w > best[0]:
+                next_edges[key] = (w, eid)
+        cur_edges = [(u, v, w, eid) for (u, v), (w, eid) in sorted(next_edges.items())]
+        n_cur = n_clusters
+    return [(int(g.edge_u[i]), int(g.edge_v[i]), float(g.edge_w[i])) for i in chosen_ids]
+
+
+class TestHeuristicTreeArrays:
+    # unit weights tie on every edge, so adjacency order decides the ball edges
+    @pytest.mark.parametrize("spec", [
+        "grid:14x11:unit", "grid:14x11:logw", "gnp:n=300,p=0.015:unit", "gnp:n=300,p=0.015:logw",
+        "regular:n=300,d=4:unit", "regular:n=300,d=3:logw",
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_to_tuple_list_rounds(self, spec, seed):
+        g = generate(spec, seed)
+        t = low_stretch_heuristic_tree(g, seed)
+        ref = SpanningTree.from_edges(g.n, reference_akpw_edges(g, seed))
+        assert np.array_equal(t.parent, ref.parent)
+        assert np.array_equal(t.parent_weight, ref.parent_weight)
+
+    def test_single_vertex(self):
+        t = low_stretch_heuristic_tree(WeightedGraph(1, []), 0)
+        assert t.parent.tolist() == [-1] and t.edges == []
+
+
 class TestPathResistance:
     def test_same_vertex(self, rng):
         t = random_tree(20, rng)
@@ -358,6 +433,85 @@ class TestSpanningTreeStructure:
                 L[u, v] -= w
                 L[v, u] -= w
             assert np.array_equal(dense_tree_laplacian(t), L)
+
+
+def reference_tree_arrays(parent, parent_weight, root):
+    """The per-vertex checks and BFS SpanningTree.__init__ used to run on
+    numpy scalars: the TreeError message, or (order, depth, prefix)."""
+    parent = np.asarray(parent, dtype=np.int64)
+    parent_weight = np.asarray(parent_weight, dtype=np.float64)
+    n = len(parent)
+    if parent[root] != -1:
+        return f"parent of root {root} must be -1"
+    children = [[] for _ in range(n)]
+    for u in range(n):
+        p = parent[u]
+        if u == root:
+            continue
+        if not (0 <= p < n):
+            return f"vertex {u} has invalid parent {p}"
+        if not (parent_weight[u] > 0.0):
+            return f"edge ({u}, {p}) has nonpositive weight"
+        children[p].append(u)
+    order = np.empty(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    prefix = np.zeros(n)
+    order[0] = root
+    head, tail = 0, 1
+    while head < tail:
+        u = order[head]
+        head += 1
+        for c in children[u]:
+            depth[c] = depth[u] + 1
+            prefix[c] = prefix[u] + 1.0 / parent_weight[c]
+            order[tail] = c
+            tail += 1
+    if tail != n:
+        return "parent links do not reach every vertex from the root"
+    return order, depth, prefix
+
+
+def relabelled(t, rng):
+    """t's parent links and weights under a random relabelling of its vertices,
+    and the new id of its root."""
+    perm = rng.permutation(t.n)             # new id i is old vertex perm[i]
+    new = np.empty(t.n, dtype=np.int64)
+    new[perm] = np.arange(t.n)
+    old_parent = t.parent[perm]
+    parent = np.where(old_parent >= 0, new[np.maximum(old_parent, 0)], -1)
+    return parent, t.parent_weight[perm], int(new[t.root])
+
+
+class TestSpanningTreeInit:
+    @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
+    def test_arrays_equal_to_scalar_bfs(self, kind, rng):
+        for n in (1, 2, 3, 257, 1 << 17):
+            t = deep_tree(kind, n, rng, 2) if n > 1 else random_tree(1, rng)
+            for parent, weight, root in ((t.parent, t.parent_weight, 0), relabelled(t, rng)):
+                got = SpanningTree(parent, weight, root=root)
+                order, depth, prefix = reference_tree_arrays(parent, weight, root)
+                assert np.array_equal(got.order, order)
+                assert np.array_equal(got.depth, depth)
+                assert np.array_equal(got.resistance_prefix, prefix)
+
+    @pytest.mark.parametrize("case", [
+        ([0, 0, 1, 2], [0.0, 1.0, 1.0, 1.0], 1),            # root's parent is not -1
+        ([-1, 0, 7, 2, -3], [0.0, 1.0, 1.0, 1.0, 1.0], 0),  # invalid parents at 2 and 4
+        ([-1, 0, 1, 1], [5.0, 1.0, 0.0, -1.0], 0),          # nonpositive weights at 2 and 3
+        ([-1, 0, 1, 1], [1.0, 1.0, np.nan, 1.0], 0),        # a NaN weight
+        ([-1, 0, 0, 9], [1.0, 0.0, 1.0, -2.0], 0),          # a bad weight before a bad parent
+        ([9, 0, 1, -1], [0.0, 1.0, 1.0, 0.0], 3),           # both faults at vertex 0
+        ([3, 2, -1, 0], [1.0, 1.0, 0.0, 1.0], 2),           # cycle 0-3 not reached from root 2
+        ([1, 0, -1, 2, 3], [1.0, 1.0, 1.0, 1.0, 1.0], 2),   # cycle 0-1 beside a path 2-3-4
+        ([-1, 1, 1], [1.0, 1.0, 1.0], 0),                   # a vertex that is its own parent
+    ])
+    def test_messages_equal_to_scalar_checks(self, case):
+        parent, weight, root = case
+        want = reference_tree_arrays(parent, weight, root)
+        assert isinstance(want, str)
+        with pytest.raises(TreeError) as err:
+            SpanningTree(parent, weight, root=root)
+        assert str(err.value) == want
 
 
 def reference_orientation(n, edges, root):
