@@ -7,6 +7,15 @@ unobservable online and is verified offline against dense ground truth at
 desk scale.  Iteration-bound predictors cover both the general
 eigenvalue-split bound and its total-stretch specialization
 (q = ceil(st^(1/3)), u = st^(2/3), l = 1).
+
+With ``reorthogonalize`` set, each new residual r and its preconditioned
+residual z are projected against every kept pair by block classical
+Gram-Schmidt in the L_T^+ inner product, applied twice (CGS2): a pass is
+c = (Z r) / diag(R Z^T), r -= c R, z -= c Z, three matrix-vector products.
+Then r is re-centred, because the L_T^+ inner product cannot see the constant
+vector, which the projection would otherwise amplify once the residual sits
+at the rounding floor.  The kept pairs live in two doubling row buffers, so
+memory is O(kept rows * n).
 """
 from __future__ import annotations
 
@@ -35,7 +44,8 @@ class PcgConfig:
     max_iterations: int = 1000
     residual_tolerance: Optional[float] = None  # defaults to epsilon / 10
     record_history: bool = False
-    # Full reorthogonalization of the residual sequence (O(k n) memory).
+    # Full reorthogonalization of the residual sequence by block CGS2, in
+    # two row buffers that double when full (O(kept rows * n) memory).
     # Off for production solves; verification against exact-spectrum
     # iteration bounds turns it on, because those bounds describe exact
     # arithmetic and rounding-induced orthogonality loss delays plain CG.
@@ -128,6 +138,15 @@ def exact_spectrum_bound(summary, total_stretch: float, epsilon: float) -> Itera
     return iteration_bound(q, max(u, l), l, epsilon)
 
 
+_KEPT_ROWS = 64  # initial rows of the reorthogonalization buffers
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    out = np.empty((rows,) + a.shape[1:])
+    out[: len(a)] = a
+    return out
+
+
 def pcg_solve(
     g: WeightedGraph,
     f: TreeFactorization,
@@ -183,9 +202,13 @@ def pcg_solve(
     k = 0
     converged = False
     rel = 1.0
-    r_hist = [r.copy()] if cfg.reorthogonalize else None
-    z_hist = [z.copy()] if cfg.reorthogonalize else None
-    rz_hist = [rz] if cfg.reorthogonalize else None
+    if cfg.reorthogonalize:
+        # kept residuals R, preconditioned residuals Z and their r^T z
+        kept_r = np.empty((min(cfg.max_iterations + 1, _KEPT_ROWS), g.n))
+        kept_z = np.empty_like(kept_r)
+        kept_rz = np.empty(len(kept_r))
+        kept_r[0], kept_z[0], kept_rz[0] = r, z, rz
+        h = 1
     while k < cfg.max_iterations:
         Ap = laplacian_apply(g, p)
         pAp = float(p @ Ap)
@@ -198,15 +221,20 @@ def pcg_solve(
         r -= alpha * Ap
         z = pseudo_solve(f, r)
         if cfg.reorthogonalize:
-            for rj, zj, rzj in zip(r_hist, z_hist, rz_hist):
-                c = float(r @ zj) / rzj
-                r -= c * rj
-                z -= c * zj
+            for _ in range(2):
+                c = (kept_z[:h] @ r) / kept_rz[:h]
+                r -= c @ kept_r[:h]
+                z -= c @ kept_z[:h]
+            r -= r.sum() / g.n  # the true residual has mean zero
         rz_new = float(r @ z)
         if cfg.reorthogonalize and rz_new > 0.0:
-            r_hist.append(r.copy())
-            z_hist.append(z.copy())
-            rz_hist.append(rz_new)
+            if h == len(kept_rz):
+                rows = min(2 * h, cfg.max_iterations + 1)
+                kept_r = _grown(kept_r, rows)
+                kept_z = _grown(kept_z, rows)
+                kept_rz = _grown(kept_rz, rows)
+            kept_r[h], kept_z[h], kept_rz[h] = r, z, rz_new
+            h += 1
         if not math.isfinite(rz_new):
             raise PcgDivergenceError(f"nonfinite residual at iteration {k + 1}")
         k += 1

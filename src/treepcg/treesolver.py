@@ -80,7 +80,8 @@ def pseudo_solve(f: TreeFactorization, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (f.n,):
         raise TreeSolveError(f"vector length {b.shape} does not match n={f.n}")
-    prefix = np.cumsum(b[f.preorder] - b.mean())
+    # sum()/n is mean() without its per-call overhead, and bit-identical
+    prefix = np.cumsum(b[f.preorder] - b.sum() / f.n)
     # slots 1..n-1: the flow on the parent edge is the load on the subtree
     # range [p, last[p]], and the potential drop across the edge is flow/weight
     drop = np.zeros(f.n)
@@ -91,5 +92,5 @@ def pseudo_solve(f: TreeFactorization, b) -> np.ndarray:
     exits = np.bincount(f.last[1:], weights=drop[1:], minlength=f.n)
     drop[1:] -= exits[:-1]
     x = np.cumsum(drop)[f.slot]
-    x -= x.mean()
+    x -= x.sum() / f.n
     return x

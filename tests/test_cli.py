@@ -86,6 +86,23 @@ class TestVerify:
         for r in report["records"]:
             assert r["trace_ok"] and r["tails_ok"] and r["pcg_ok"] and r["ok"]
 
+    # sha256 of the reports for seeds 0-3, recorded at the commit before the
+    # reorthogonalization became a block projection; the spectral fields are
+    # pinned above, so a change here is a change in iterations_observed
+    @pytest.mark.parametrize("spec, tree, digest", [
+        ("grid:20x20:logw", "maxw", "61f2d79ea5766eb979f878056593d65edc90403d229617f72e5627afe3b894c2"),
+        ("grid:20x20:logw", "akpw", "60b6384bf05b78081fe6673139d879d7e839bbcaccb8581605fcf9dcdae03395"),
+        ("gnp:n=450,p=0.02:logw", "maxw", "6e41574224c7c657dfbc684e8d4d10d81ca7b0130e5fb2b0792f4d7c2a5a6cc4"),
+        ("gnp:n=450,p=0.02:logw", "akpw", "a69e7156b0622c11939c20a4cc1f96d939787e337b6d14f6589e6ad43eca654a"),
+        ("regular:n=400,d=4:unit", "maxw", "56ea8dff609c353ecf284042571e58102c4e9d6677ceee86ae3f89ed2ce5f656"),
+        ("regular:n=400,d=4:unit", "akpw", "b0b87b19263ebac8015722f24b7bf3b02f3b162ed80d05a45c042fc2a4f5d6c2"),
+    ])
+    def test_desk_report_bytes_pinned(self, tmp_path, spec, tree, digest):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--gen", spec, "--tree", tree, "--seeds", "0,1,2,3",
+                     "--out", str(out)]) == 0
+        assert _sha256(out) == digest
+
     @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
                                       "regular:n=400,d=4:unit"])
     def test_x_true_is_the_pinv_solution(self, monkeypatch, spec):

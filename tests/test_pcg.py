@@ -1,4 +1,7 @@
+import functools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import treepcg.pcg
 from treepcg import (
     PcgConfig,
     PcgError,
+    PcgDivergenceError,
     SpanningTree,
     WeightedGraph,
     dense_laplacian,
@@ -19,7 +23,10 @@ from treepcg import (
     stretch_report,
     stretch_only_bound,
 )
+from treepcg.cli import build_tree
+from treepcg.graphs import laplacian_apply
 from treepcg.spectral import exact_qul, generalized_spectrum, tail_count
+from treepcg.treesolver import pseudo_solve
 
 
 def triangle_setup():
@@ -226,3 +233,214 @@ class TestTailCountIntegration:
         q, _, l = exact_qul(s, u)
         assert q == 1 and l == 1.0
         assert tail_count(s, 2.0) == 1
+
+
+# ---------------------------------------------------------------------------
+# reorthogonalization: the block projection against the per-vector loop
+
+
+def loop_reorthogonalized_pcg(g, f, b, cfg, x_true):
+    """Reference: pcg_solve's reorthogonalized path as it ran before the block
+    projection, one modified Gram-Schmidt round per kept residual.  Returns
+    (x, iterations, converged, a_norm_history) and the kept residuals,
+    preconditioned residuals and their r^T z."""
+    true_norm = math.sqrt(float(x_true @ laplacian_apply(g, x_true)))
+
+    def a_norm_rel_err(x):
+        d = x - x_true
+        return math.sqrt(max(float(d @ laplacian_apply(g, d)), 0.0)) / true_norm
+
+    x = np.zeros(g.n)
+    r = b - b.mean()
+    z = pseudo_solve(f, r)
+    rz = float(r @ z)
+    denom = math.sqrt(rz)
+    a_hist = [a_norm_rel_err(x)]
+    p = z.copy()
+    k = 0
+    converged = False
+    r_hist, z_hist, rz_hist = [r.copy()], [z.copy()], [rz]
+    while k < cfg.max_iterations:
+        Ap = laplacian_apply(g, p)
+        pAp = float(p @ Ap)
+        if not math.isfinite(pAp) or pAp <= 0.0:
+            raise PcgDivergenceError(f"curvature {pAp} at iteration {k}")
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        z = pseudo_solve(f, r)
+        for rj, zj, rzj in zip(r_hist, z_hist, rz_hist):
+            c = float(r @ zj) / rzj
+            r -= c * rj
+            z -= c * zj
+        rz_new = float(r @ z)
+        if rz_new > 0.0:
+            r_hist.append(r.copy())
+            z_hist.append(z.copy())
+            rz_hist.append(rz_new)
+        if not math.isfinite(rz_new):
+            raise PcgDivergenceError(f"nonfinite residual at iteration {k + 1}")
+        k += 1
+        a_hist.append(a_norm_rel_err(x))
+        if rz_new <= 0.0 or math.sqrt(max(rz_new, 0.0)) / denom <= cfg.effective_residual_tolerance():
+            converged = True
+            break
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    kept = (np.array(r_hist), np.array(z_hist), np.array(rz_hist))
+    return (x, k, converged, a_hist), kept
+
+
+def solve_keeping_rows(g, f, b, cfg, x_true=None):
+    """pcg_solve, plus the rows its reorthogonalization buffers hold when it
+    returns, read from its locals by a profile hook."""
+    kept = []
+
+    def hook(frame, event, arg):
+        if event == "return" and frame.f_code is pcg_solve.__code__:
+            h = frame.f_locals["h"]
+            kept.extend(frame.f_locals[name][:h].copy()
+                        for name in ("kept_r", "kept_z", "kept_rz"))
+
+    sys.setprofile(hook)
+    try:
+        out = pcg_solve(g, f, b, cfg, x_true=x_true)
+    finally:
+        sys.setprofile(None)
+    return out, tuple(kept)
+
+
+def first_accurate(a_hist, eps=1e-8):
+    return next((k for k, e in enumerate(a_hist) if e <= eps), None)
+
+
+def max_off_orthonormality(kept):
+    """Largest off-diagonal of the normalised Gram matrix
+    |r_i^T z_j| / sqrt(r_i^T z_i * r_j^T z_j) of the kept rows."""
+    R, Z, rz = kept
+    gram = np.abs(R @ Z.T) / np.sqrt(np.outer(rz, rz))
+    np.fill_diagonal(gram, 0.0)
+    return float(gram.max())
+
+
+DESK_SPECS = ["grid:20x20:logw", "gnp:n=450,p=0.02:logw", "regular:n=400,d=4:unit"]
+
+
+@functools.lru_cache(maxsize=None)
+def desk_instance(spec, tree, seed):
+    """The graph, factorization, right-hand side and x_true that
+    ``treepcg verify`` builds for one seed."""
+    g = generate(spec, seed)
+    f = factor(build_tree(g, tree, seed))
+    b = np.random.default_rng([seed, 0xB0]).standard_normal(g.n)
+    b -= b.mean()
+    x_true = np.zeros(g.n)
+    x_true[1:] = np.linalg.solve(dense_laplacian(g)[1:, 1:], b[1:])
+    x_true -= x_true.mean()
+    return g, f, b, x_true
+
+
+def verify_config(n):
+    return PcgConfig(epsilon=1e-8, max_iterations=max(4 * n, 100), record_history=True,
+                     reorthogonalize=True)
+
+
+def assert_close(out, ref_x, ref_a_hist):
+    """x within 1e-13 of max |x|, and each relative A-norm error within 1e-14
+    (at least twice the largest gaps measured, see below)."""
+    assert np.abs(out.x - ref_x).max() <= 1e-13 * np.abs(ref_x).max()
+    for got, want in zip(out.a_norm_history, ref_a_hist):
+        assert abs(got - want) <= 1e-14
+
+
+class TestBlockReorthogonalization:
+    """The block projection (classical Gram-Schmidt, two passes) against the
+    per-vector loop it replaced, on the inputs ``treepcg verify`` builds."""
+
+    @pytest.mark.parametrize("spec", DESK_SPECS)
+    @pytest.mark.parametrize("tree", ["maxw", "akpw"])
+    def test_matches_the_loop_on_verify_runs(self, spec, tree):
+        # measured over these 24 runs: max |dx| / max |x| 2.1e-14 and
+        # max |d a_k| 4.4e-15 (the errors are relative, starting at 1)
+        for seed in range(4):
+            g, f, b, x_true = desk_instance(spec, tree, seed)
+            cfg = verify_config(g.n)
+            (x, k, converged, a_hist), _ = loop_reorthogonalized_pcg(g, f, b, cfg, x_true)
+            out = pcg_solve(g, f, b, cfg, x_true=x_true)
+            assert (out.iterations, out.converged) == (k, converged)
+            assert first_accurate(out.a_norm_history) == first_accurate(a_hist)
+            assert len(out.a_norm_history) == len(a_hist)
+            assert_close(out, x, a_hist)
+
+    @pytest.mark.parametrize("spec", DESK_SPECS)
+    @pytest.mark.parametrize("tree", ["maxw", "akpw"])
+    def test_runs_past_the_rounding_floor(self, spec, tree):
+        # criterion-4 style: no residual stop and a budget past n, so each
+        # run ends only when r^T z is no longer positive, after its A-norm
+        # error has sat at the rounding floor (1e-15 to 1e-13) for dozens of
+        # iterations.  Where that happens is decided by rounding, so the
+        # iteration counts differ: the loop stopped after 88-255 iterations
+        # on seeds 0-3, the block projection, which keeps r mean-zero, after
+        # 234-449.  Without that centring half of those runs overflowed
+        # instead (nonfinite curvature) while the loop stopped cleanly.
+        for seed in range(2):
+            g, f, b, x_true = desk_instance(spec, tree, seed)
+            cfg = PcgConfig(epsilon=1e-8, max_iterations=2 * g.n, residual_tolerance=0.0,
+                            record_history=True, reorthogonalize=True)
+            (x, k, converged, a_hist), ref_kept = loop_reorthogonalized_pcg(g, f, b, cfg, x_true)
+            out, kept = solve_keeping_rows(g, f, b, cfg, x_true)
+            assert converged and out.converged
+            # the last residual had r^T z <= 0 and was not kept
+            assert len(ref_kept[2]) == k and len(kept[2]) == out.iterations
+            assert out.iterations > 128  # the buffers doubled twice (64, 128, 256)
+            first = first_accurate(a_hist)
+            assert first_accurate(out.a_norm_history) == first
+            assert_close(out, x, a_hist[: first + 1])
+            assert max(out.a_norm_error, a_hist[-1]) <= 1e-12
+
+    @pytest.mark.parametrize("spec", DESK_SPECS)
+    @pytest.mark.parametrize("tree", ["maxw", "akpw"])
+    def test_kept_rows_stay_orthonormal(self, spec, tree):
+        # largest normalised off-diagonal over seeds 0-3: at most 4.9e-15
+        # here, and at most 5.7e-15 for the per-vector loop
+        for seed in range(4):
+            g, f, b, x_true = desk_instance(spec, tree, seed)
+            _, kept = solve_keeping_rows(g, f, b, verify_config(g.n))
+            assert max_off_orthonormality(kept) <= 2e-14
+
+    def test_kept_rows_stay_orthonormal_with_weights_over_eight_decades(self):
+        # graph and tree weights spread over eight decades; 238 iterations.
+        # Measured 3.1e-13, and 6.0e-13 for the per-vector loop on this run
+        rng = np.random.default_rng(1)
+        g = generate("gnp:n=450,p=0.02:unit", 1)
+        edges = np.array(g.edges)
+        edges[:, 2] = 10.0 ** rng.uniform(-4.0, 4.0, g.m)
+        g = WeightedGraph(g.n, edges)
+        f = factor(build_tree(g, "akpw", 1))
+        b = rng.standard_normal(g.n)
+        b -= b.mean()
+        out, kept = solve_keeping_rows(g, f, b, verify_config(g.n))
+        assert out.converged and len(kept[2]) > 128
+        assert max_off_orthonormality(kept) <= 2e-12
+
+    def test_memory_follows_kept_rows_not_the_budget(self):
+        g, f, b, x_true = desk_instance("gnp:n=450,p=0.02:logw", "akpw", 0)
+        peaks = []
+        for budget in (4 * g.n, 40 * g.n):
+            cfg = PcgConfig(epsilon=1e-8, max_iterations=budget, record_history=True,
+                            reorthogonalize=True)
+            tracemalloc.start()
+            try:
+                out = pcg_solve(g, f, b, cfg, x_true=x_true)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        kept_rows = out.iterations + 1
+        row = 8 * g.n
+        # two buffers of fewer than 2 * kept_rows rows each (doubling), the
+        # old copy of one while it grows (fewer than kept_rows rows), and a
+        # few dozen vectors of length n
+        assert max(peaks) <= (5 * kept_rows + 64) * row
+        assert max(peaks) <= 2 * (4 * g.n + 1) * row / 5
+        assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
