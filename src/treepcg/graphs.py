@@ -1,8 +1,9 @@
 """Weighted undirected graphs: Laplacian action, generators, edge-list I/O.
 
 A graph is stored as a canonical sorted edge list (u < v) in three arrays;
-one breadth-first :func:`search` serves connectivity, the giant component of
-a gnp graph and the orientation of a spanning tree.  The Laplacian
+:func:`components`, hook and compress on whole arrays, serves connectivity,
+the giant component of a gnp graph, the regular generator's connectivity
+test and the merges of the max-weight spanning tree.  The Laplacian
 L = sum_e w(e) (psi_u - psi_v)(psi_u - psi_v)^T is never materialized except
 through :func:`dense_laplacian`, which is capped to desk scale and exists to
 back brute-force verification.
@@ -28,7 +29,7 @@ class WeightedGraph:
     or an (m, 3) array.  Edges are canonicalized to u < v and sorted, so
     iteration order is reproducible.  An invalid edge raises GraphError for
     the first offender in input order (duplicates: in sorted order).
-    Connectivity is read off one :func:`search` at build time.
+    Connectivity is read off :func:`components` at build time.
     """
 
     __slots__ = ("n", "edge_u", "edge_v", "edge_w", "_connected")
@@ -63,7 +64,7 @@ class WeightedGraph:
         self.edge_u = a
         self.edge_v = b
         self.edge_w = w[idx]
-        self._connected = len(search(n, a, b)[1]) == 1
+        self._connected = not components(n, a, b).any()
 
     @property
     def m(self) -> int:
@@ -81,33 +82,28 @@ def is_connected(g: WeightedGraph) -> bool:
     return g._connected
 
 
-def search(n: int, u, v, root: int = 0):
-    """Breadth-first search of the graph on 0..n-1 with edges (u[i], v[i]).
+def components(n: int, u, v) -> np.ndarray:
+    """Each vertex's component label, the smallest vertex id in its component,
+    for the graph on 0..n-1 with edges (u[i], v[i]).
 
-    Returns ``(order, starts)``: the vertices as visited, and where each
-    component begins in ``order``.  The first search starts at ``root``, each
-    later one at the smallest vertex not yet visited.  Every vertex but a
-    start is visited after a neighbour.  O(n + m): the adjacency lists are
-    one ``argsort`` of the endpoints."""
-    ends = np.concatenate((u, v))
-    nbr = np.concatenate((v, u))[np.argsort(ends, kind="stable")].tolist()
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n)))).tolist()
-    seen = bytearray(n)
-    order, starts = [], []
-    s, lo = root, 0
-    while s >= 0:
-        seen[s] = 1
-        starts.append(len(order))
-        comp = [s]
-        for x in comp:              # the list grows while it is iterated
-            for y in nbr[ptr[x]:ptr[x + 1]]:
-                if not seen[y]:
-                    seen[y] = 1
-                    comp.append(y)
-        order += comp
-        s = seen.find(0, lo)
-        lo = s + 1
-    return np.array(order, dtype=np.int64), np.array(starts, dtype=np.int64)
+    Shiloach-Vishkin hook and compress on whole arrays.  Each round, every
+    root hooks to the smallest root across its crossing edges, then
+    ``f = f[f]`` runs until every label is a root; labels only fall, so a
+    root is its component's smallest vertex.  A root that does not hook is
+    smaller than its neighbours, which hook to roots no larger than it, so
+    it merges in this round or the next: O(log n) rounds.  Edges are carried
+    as edges between roots, those inside one component dropped."""
+    f = np.arange(n)
+    while True:
+        u, v = f[u], f[v]
+        cross = u != v
+        if not cross.any():
+            return f
+        u, v = np.minimum(u[cross], v[cross]), np.maximum(u[cross], v[cross])
+        np.minimum.at(f, v, u)
+        g = f[f]
+        while not np.array_equal(g, f):
+            f, g = g, g[g]
 
 
 def laplacian_apply(g: WeightedGraph, x) -> np.ndarray:
@@ -225,11 +221,10 @@ def _gnp_edges(n: int, p: float, rng: np.random.Generator):
 def _giant_component(n: int, u, v):
     """The largest component, ties to the one holding the smallest vertex,
     relabelled in increasing vertex id; its edges keep their input order."""
-    order, starts = search(n, u, v)
-    sizes = np.diff(starts, append=n)
-    c = int(sizes.argmax())
-    keep = np.zeros(n, dtype=bool)
-    keep[order[starts[c]:starts[c] + sizes[c]]] = True
+    comp = components(n, u, v)
+    sizes = np.bincount(comp, minlength=n)
+    c = int(sizes.argmax())         # the first maximum: the smallest label
+    keep = comp == c
     label = np.cumsum(keep) - 1
     mask = keep[u]
     return int(sizes[c]), label[u[mask]], label[v[mask]]
@@ -242,8 +237,8 @@ def _regular_edges(n: int, d: int, seed: int):
         raise GraphError(f"impossible regular graph parameters n={n}, d={d}")
     for attempt in range(100):
         G = nx.random_regular_graph(d, n, seed=seed * 1000 + attempt)
-        if nx.is_connected(G):
-            u, v = np.array(list(G.edges()), dtype=np.int64).reshape(-1, 2).T
+        u, v = np.array(list(G.edges()), dtype=np.int64).reshape(-1, 2).T
+        if not components(n, u, v).any():
             return n, u, v
     raise GraphError(f"could not generate a connected {d}-regular graph on {n} vertices")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, is_connected, search
+from .graphs import WeightedGraph, components, is_connected
 
 
 class TreeError(ValueError):
@@ -92,20 +92,43 @@ class SpanningTree:
     def from_edges(cls, n: int, edges, root: int = 0) -> "SpanningTree":
         """Build from n-1 undirected (u, v, w) edges, triples or an array.
         They form a tree iff they connect all n vertices, and its orientation
-        is unique: a search from the root reaches each edge's parent end first."""
+        is unique: each edge's parent end is the one nearer the root.
+
+        Read off an Euler tour (Tarjan-Vishkin).  Edge i has darts 2i (u to v)
+        and 2i+1 (v to u).  A dart's successor is the dart after its twin in
+        its head's list, sorted by head, wrapping around; in a tree this is
+        one cycle around the tree.  Cut before the root's first dart, it is
+        ranked by pointer jumping, one round per bit of 2(n-1), and the
+        earlier dart of each edge points from parent to child."""
         if len(edges) != n - 1:
             raise TreeError(f"a spanning tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
         e = np.asarray(edges, dtype=np.float64).reshape(n - 1, 3)
-        u = e[:, 0].astype(np.int64)
-        v = e[:, 1].astype(np.int64)
-        order, starts = search(n, u, v, root)
-        if len(starts) > 1:
+        ends = e[:, :2].astype(np.int64)
+        tail = ends.ravel()                     # dart d runs tail[d] -> head[d]
+        head = ends[:, ::-1].ravel()
+        darts = 2 * (n - 1)
+        by_tail = np.argsort(tail * n + head)   # each vertex's darts, by head
+        pos = np.empty(darts, dtype=np.int64)
+        pos[by_tail] = np.arange(darts)
+        start = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=n))))
+        after_twin = pos[np.arange(darts) ^ 1] + 1
+        wrap = after_twin == start[head + 1]
+        after_twin[wrap] = start[head[wrap]]
+        nxt = np.append(by_tail[after_twin], darts)     # darts is the end marker
+        if start[root] < start[root + 1]:
+            nxt[nxt == by_tail[start[root]]] = darts    # cut before the root's first dart
+        dist = np.append(np.ones(darts, dtype=np.int64), 0)    # darts left to the end
+        for _ in range(darts.bit_length()):
+            dist = dist + dist[nxt]
+            nxt = nxt[nxt]
+        # the tour reaches every vertex iff the edges form a tree
+        if n > 1 and not np.bincount(head[nxt[:darts] == darts], minlength=n).all():
             raise TreeError("edge list is not connected")
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n)
-        child = np.where(pos[u] > pos[v], u, v)
+        # the dart more darts away from the tour's end comes first
+        down = dist[0:darts:2] > dist[1:darts:2]
+        child = np.where(down, ends[:, 1], ends[:, 0])
         parent = np.full(n, -1, dtype=np.int64)
-        parent[child] = np.where(child == u, v, u)
+        parent[child] = np.where(down, ends[:, 0], ends[:, 1])
         parent_weight = np.zeros(n)
         parent_weight[child] = e[:, 2]
         return cls(parent, parent_weight, root=root)
@@ -196,16 +219,6 @@ class SpanningTree:
         return int(out) if out.ndim == 0 else out
 
 
-def lca_naive(t: SpanningTree, u: int, v: int) -> int:
-    """Upward-walk LCA, used only as a verification oracle."""
-    while u != v:
-        if t.depth[u] >= t.depth[v]:
-            u = int(t.parent[u])
-        else:
-            v = int(t.parent[v])
-    return u
-
-
 def path_resistance(t: SpanningTree, u, v):
     """Series resistance sum(1/w) along the unique u-v tree path, elementwise
     for arrays; O(1) per pair after an O(n log n) table."""
@@ -291,48 +304,39 @@ def stretch_report(g: WeightedGraph, t: SpanningTree) -> StretchReport:
 # constructions
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 def max_weight_spanning_tree(g: WeightedGraph) -> SpanningTree:
-    """Kruskal on descending weight; ties broken by canonical edge order.
+    """Kruskal's tree on descending weight, ties broken by canonical edge
+    order, built by Borůvka rounds: each round, every component picks its
+    crossing edge of smallest key (-w, u, v), and the components joined by
+    the picked edges merge.  No two edges share (u, v), so the key is a
+    strict total order; the maximum spanning tree under it is then unique
+    and holds the smallest-key edge out of any vertex set (cut property),
+    so Borůvka picks exactly Kruskal's edges.
 
     Maximizing tree weight minimizes each 1/w term available to tree paths,
     making this a cheap baseline preconditioner tree.
     """
     if not is_connected(g):
         raise TreeError("graph must be connected")
+    n, m = g.n, g.m
     idx = np.lexsort((g.edge_v, g.edge_u, -g.edge_w))   # key (-w, u, v)
-    uf = _UnionFind(g.n)
-    chosen = []
-    for u, v, w in zip(g.edge_u[idx].tolist(), g.edge_v[idx].tolist(), g.edge_w[idx].tolist()):
-        if uf.union(u, v):
-            chosen.append((u, v, w))
-            if len(chosen) == g.n - 1:
-                break
-    return SpanningTree.from_edges(g.n, chosen)
+    su, sv = g.edge_u[idx], g.edge_v[idx]               # an edge's rank is its position
+    live = np.arange(m)             # ranks of the edges that may still cross
+    label = np.arange(n)            # each vertex's component, by its smallest vertex
+    chosen = [live[:0]]
+    while len(live):
+        lu, lv = label[su[live]], label[sv[live]]
+        cross = lu != lv
+        live, lu, lv = live[cross], lu[cross], lv[cross]
+        best = np.full(n, m)
+        np.minimum.at(best, lu, live)
+        np.minimum.at(best, lv, live)
+        # each picked rank once, though both its ends may have picked it
+        picked = np.flatnonzero(np.bincount(best[best < m], minlength=m))
+        chosen.append(picked)
+        label = components(n, label[su[picked]], label[sv[picked]])[label]
+    chosen = idx[np.concatenate(chosen)]
+    return SpanningTree.from_edges(n, np.column_stack((g.edge_u[chosen], g.edge_v[chosen], g.edge_w[chosen])))
 
 
 def low_stretch_heuristic_tree(g: WeightedGraph, seed: int) -> SpanningTree:

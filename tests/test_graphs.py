@@ -20,7 +20,9 @@ from treepcg import (
     write_vector,
 )
 from treepcg import graphs
-from treepcg.graphs import _giant_component, search
+from treepcg.graphs import _giant_component, components
+
+from conftest import search
 
 
 def triangle():
@@ -164,22 +166,38 @@ def union_of_components(rng, sizes):
     return base, uv[:, 0], uv[:, 1]
 
 
+def nx_labels(n, u, v):
+    """Each vertex's smallest component-mate, by networkx."""
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(zip(u.tolist(), v.tolist()))
+    label = np.empty(n, dtype=np.int64)
+    for c in nx.connected_components(G):
+        label[list(c)] = min(c)
+    return G, label
+
+
 class TestSearch:
+    """``components`` and ``_giant_component`` against networkx, and the
+    breadth-first ``search`` that the tests keep as a reference."""
+
     @pytest.mark.parametrize("sizes", [[1], [5], [3, 3], [4, 1, 4, 2], [1, 1, 1], [7, 7, 7, 2],
                                        [30, 12, 30, 1, 1, 5], [200]])
     def test_components_match_networkx(self, rng, sizes):
         for _ in range(5):
             n, u, v = union_of_components(rng, sizes)
-            G = nx.Graph()
-            G.add_nodes_from(range(n))
-            G.add_edges_from(zip(u.tolist(), v.tolist()))
+            G, want = nx_labels(n, u, v)
+            for a, b in ((u, v), (v, u), (np.concatenate((u, v)), np.concatenate((v, u)))):
+                got = components(n, a, b)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
             for root in (0, n - 1, int(rng.integers(0, n))):
                 order, starts = search(n, u, v, root)
-                assert sorted(order.tolist()) == list(range(n))
-                comps = [set(c) for c in np.split(order, starts[1:])]
-                assert sorted(map(sorted, comps)) == sorted(map(sorted, nx.connected_components(G)))
+                assert np.array_equal(np.sort(order), np.arange(n))
+                comps = np.split(order, starts[1:])
+                assert all((want[c] == c.min()).all() for c in comps)
+                assert len(comps) == len(np.unique(want))
                 assert order[0] == root
-                smallest = [min(c) for c in comps[1:]]
+                smallest = [int(c.min()) for c in comps[1:]]
                 assert smallest == sorted(smallest) and order[starts[1:]].tolist() == smallest
                 pos = np.empty(n, dtype=np.int64)
                 pos[order] = np.arange(n)
@@ -192,6 +210,27 @@ class TestSearch:
             want_size, want_edges = reference_giant(n, u, v)
             assert size == want_size
             assert list(zip(gu.tolist(), gv.tolist())) == want_edges
+
+    @pytest.mark.parametrize("kind", ["path", "star", "random"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 5000])
+    def test_components_of_shuffled_trees(self, rng, kind, n):
+        # a path in shuffled ids makes long label chains for compression
+        parent = np.arange(-1, n - 1) if kind == "path" else np.zeros(n, dtype=np.int64)
+        if kind == "random":
+            parent[1:] = rng.integers(0, np.arange(1, n))
+        perm = rng.permutation(n)
+        u, v = perm[1:], perm[parent[1:]]
+        flip = rng.random(n - 1) < 0.5
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        assert np.array_equal(components(n, u, v), np.zeros(n, dtype=np.int64))
+        # without its middle edge, the tree falls into two
+        keep = np.arange(n - 1) != (n - 1) // 2
+        assert np.array_equal(components(n, u[keep], v[keep]), nx_labels(n, u[keep], v[keep])[1])
+
+    def test_components_small_inputs(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert np.array_equal(components(4, empty, empty), np.arange(4))
+        assert np.array_equal(components(4, [2, 3, 3], [3, 2, 2]), [0, 1, 2, 2])
 
     # n = 1600 has 1,279,200 pairs, more than one block of uniforms
     @pytest.mark.parametrize("n, p, seed", [(1600, 0.0008, 0), (300, 0.006, 4)])

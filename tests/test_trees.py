@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from treepcg import (
     stretch_report,
     tree_spans,
 )
-from treepcg.trees import lca_naive
+from treepcg.graphs import _grid_edges
 
-from conftest import deep_tree, random_tree, root_path
+from conftest import deep_tree, lca_naive, random_tree, root_path, search
 
 
 def triangle(weights=(1.0, 1.0, 1.0)):
@@ -47,9 +48,34 @@ class TestMaxWeightTree:
         assert len(t.edges) == g.n - 1
 
     def test_disconnected_rejected(self):
-        g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(TreeError, match="connected"):
-            max_weight_spanning_tree(g)
+        for g in (WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)]), WeightedGraph(2, [])):
+            with pytest.raises(TreeError, match="^graph must be connected$"):
+                max_weight_spanning_tree(g)
+
+    @pytest.mark.parametrize("spec", ["grid:15x20", "gnp:n=300,p=0.02", "regular:n=300,d=4"])
+    @pytest.mark.parametrize("weights", ["unit", "logw"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_to_union_find_kruskal(self, spec, weights, seed):
+        g = generate(f"{spec}:{weights}", seed)
+        t = max_weight_spanning_tree(g)
+        parent, weight = reference_kruskal(g)
+        assert np.array_equal(t.parent, parent)
+        assert np.array_equal(t.parent_weight, weight)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_ties_decided_by_edge_order(self, rng, levels):
+        for n, p in ((2, 0.0), (3, 1.0), (40, 0.2), (250, 0.03)):
+            for _ in range(4):
+                g = few_weight_graph(rng, n, p, levels)
+                t = max_weight_spanning_tree(g)
+                parent, weight = reference_kruskal(g)
+                assert np.array_equal(t.parent, parent)
+                assert np.array_equal(t.parent_weight, weight)
+
+    def test_single_vertex_and_edge(self):
+        assert max_weight_spanning_tree(WeightedGraph(1, [])).parent.tolist() == [-1]
+        t = max_weight_spanning_tree(WeightedGraph(2, [(1, 0, 2.5)]))
+        assert t.parent.tolist() == [-1, 0] and t.parent_weight.tolist() == [0.0, 2.5]
 
     def test_ties_follow_documented_key(self):
         # Kruskal in the documented order (-w, u, v): the tree it picks
@@ -71,6 +97,56 @@ class TestMaxWeightTree:
                     comp[u] = v
                     chosen.append(edges[i])
             assert max_weight_spanning_tree(g).edges == sorted(chosen)
+
+
+class _UnionFind:
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+
+def reference_kruskal(g):
+    """The Kruskal loop over a union-find that max_weight_spanning_tree ran
+    before it was built by Borůvka rounds: its parents and parent weights."""
+    idx = np.lexsort((g.edge_v, g.edge_u, -g.edge_w))   # key (-w, u, v)
+    uf = _UnionFind(g.n)
+    chosen = []
+    for u, v, w in zip(g.edge_u[idx].tolist(), g.edge_v[idx].tolist(), g.edge_w[idx].tolist()):
+        if uf.union(u, v):
+            chosen.append((u, v, w))
+            if len(chosen) == g.n - 1:
+                break
+    return reference_orientation(g.n, chosen, 0)
+
+
+def few_weight_graph(rng, n, p, levels):
+    """A random connected graph whose weights take at most ``levels`` distinct
+    values, so that the (u, v) tie-break decides most of the tree."""
+    attach = [(int(rng.integers(0, x)), x) for x in range(1, n)]
+    iu, iv = np.triu_indices(n, k=1)
+    extra = rng.random(len(iu)) < p
+    pairs = set(attach) | set(zip(iu[extra].tolist(), iv[extra].tolist()))
+    values = rng.choice([0.5, 1.0, 3.0][:levels], size=len(pairs))
+    return WeightedGraph(n, [(u, v, float(w)) for (u, v), w in zip(sorted(pairs), values)])
 
 
 class TestHeuristicTree:
@@ -389,22 +465,33 @@ class TestSpanningTreeStructure:
             )
 
     def test_from_edges_wrong_count(self):
-        with pytest.raises(TreeError, match="needs"):
+        with pytest.raises(TreeError, match="^a spanning tree on 3 vertices needs 2 edges, got 1$"):
             SpanningTree.from_edges(3, [(0, 1, 1.0)])
 
     def test_from_edges_disconnected(self):
-        with pytest.raises(TreeError, match="connected"):
+        with pytest.raises(TreeError, match="^edge list is not connected$"):
             SpanningTree.from_edges(4, [(0, 1, 1.0), (0, 1, 2.0), (2, 3, 1.0)])
 
     def test_from_edges_rejects_cycle_leaving_a_vertex_out(self):
         # n - 1 edges: a triangle on 0, 1, 2 and a path 3-4, vertex 5 alone
         edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, 1.0), (4, 2, 1.0)]
-        with pytest.raises(TreeError, match="connected"):
+        with pytest.raises(TreeError, match="^edge list is not connected$"):
             SpanningTree.from_edges(6, edges)
+
+    @pytest.mark.parametrize("n, edges, root", [
+        (4, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)], 0),    # the root has no edge
+        (3, [(1, 2, 1.0), (2, 1, 1.0)], 0),                 # the root has no edge, a duplicate
+        (2, [(1, 1, 1.0)], 0),                              # a self-loop
+        (4, [(0, 1, 1.0), (1, 0, 2.0), (0, 1, 3.0)], 0),    # every dart in the root's tour,
+        (4, [(0, 1, 1.0), (1, 0, 2.0), (0, 1, 3.0)], 1),    # but 2 and 3 never reached
+    ])
+    def test_from_edges_rejects_unreached_vertices(self, n, edges, root):
+        with pytest.raises(TreeError, match="^edge list is not connected$"):
+            SpanningTree.from_edges(n, edges, root=root)
 
     @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
     def test_from_edges_matches_reference_parents(self, rng, kind):
-        for n in (1, 2, 3, 50, 301):
+        for n in (1, 2, 3, 64, 2000):
             t = deep_tree(kind, n, rng, 2) if n > 1 else random_tree(1, rng)
             edges = [(u, v, w) if rng.random() < 0.5 else (v, u, w) for u, v, w in t.edges]
             edges = [edges[i] for i in rng.permutation(len(edges))]
@@ -515,18 +602,53 @@ class TestSpanningTreeInit:
 
 
 def reference_orientation(n, edges, root):
-    """Parent links and parent-edge weights by a walk out from the root."""
-    adj = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    parent, weight = [-2] * n, [0.0] * n
-    parent[root] = -1
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v, w in adj[u]:
-            if parent[v] == -2:
-                parent[v], weight[v] = u, w
-                stack.append(v)
+    """Parent links and parent-edge weights of the tree on n vertices with
+    the given (u, v, w) edges: of each edge, the end that the breadth-first
+    reference search from the root reaches first is the parent."""
+    u = np.array([e[0] for e in edges], dtype=np.int64)
+    v = np.array([e[1] for e in edges], dtype=np.int64)
+    order, starts = search(n, u, v, root)
+    assert len(starts) == 1
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    parent, weight = [-1] * n, [0.0] * n
+    for a, b, w in zip(u.tolist(), v.tolist(), [float(e[2]) for e in edges]):
+        if pos[a] > pos[b]:
+            a, b = b, a
+        parent[b], weight[b] = a, w
     return parent, weight
+
+
+class TestSetupMemory:
+    # bytes per vertex plus edge; the peaks measured were 54-69 for the
+    # graph, 162-231 for maxw and 130-195 for from_edges, most of the last
+    # two the flat lists of SpanningTree.__init__
+    PER_ITEM = 400
+
+    @pytest.mark.parametrize("shape", ["path", "grid"])
+    def test_peak_is_linear(self, shape):
+        if shape == "path":
+            n = 1 << 18
+            u, v = np.arange(n - 1), np.arange(1, n)
+        else:
+            n, u, v = _grid_edges(512, 512)
+        edges = np.column_stack((u, v, 10.0 ** np.random.default_rng(0).uniform(-1.0, 1.0, len(u))))
+
+        def peak(build):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = build()
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / (n + len(u)))
+            return out
+
+        peaks = []
+        tracemalloc.start()
+        try:
+            g = peak(lambda: WeightedGraph(n, edges))
+            t = peak(lambda: max_weight_spanning_tree(g))
+            child = np.flatnonzero(t.parent >= 0)
+            tree_edges = np.column_stack((child, t.parent[child], t.parent_weight[child]))
+            peak(lambda: SpanningTree.from_edges(n, tree_edges))
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < self.PER_ITEM, peaks
