@@ -1,32 +1,44 @@
-"""Preconditioned conjugate gradient with a tree-factorization preconditioner.
+"""Preconditioned conjugate gradient with a spanning-tree preconditioner.
 
-Each iteration costs one Laplacian multiply (O(m)) and one tree pseudo-solve
-(O(n)).  The stopping rule is the preconditioned residual measure
-sqrt(r^T z) relative to sqrt(b^T L_T^+ b); the target A-norm accuracy is
-unobservable online and is verified offline against dense ground truth at
+Grounded at the tree's root, L_T^{-1} = F F^T with F = R W^{-1/2} (see
+``spectral``), so PCG with L_T^+ is plain CG on the split system
+F^T L_G F y = F^T b, with x = F y.  Since F^T L_T F = I, its matrix is
+I + F^T (L_G - L_T) F: the tree's own n-1 edges leave the multiply, and each
+iteration is one root-path prefix sum (F p), one Laplacian multiply over the
+off-tree edges only, and one subtree prefix sum (F^T), each O(n) or O(m - n).
+The vectors live in the tree's DFS-preorder slots 1..n-1, where both prefix
+sums are contiguous, so no vector is gathered into or out of that order
+while CG runs; x is accumulated in slot order from the F p that each
+multiply computes, and mapped back to vertices and centred once at the end.
+The split system has no null space (it is grounded), so nothing is
+re-centred per iteration.
+
+The stopping rule is the residual measure ||s_k|| = sqrt(r_k^T L_T^+ r_k),
+s_k = F^T r_k, relative to its value at the start; the target A-norm accuracy
+is unobservable online and is verified offline against dense ground truth at
 desk scale.  Iteration-bound predictors cover both the general
 eigenvalue-split bound and its total-stretch specialization
 (q = ceil(st^(1/3)), u = st^(2/3), l = 1).
 
-With ``reorthogonalize`` set, each new residual r and its preconditioned
-residual z are projected against every kept pair by block classical
-Gram-Schmidt in the L_T^+ inner product, applied twice (CGS2): a pass is
-c = (Z r) / diag(R Z^T), r -= c R, z -= c Z, three matrix-vector products.
-Then r is re-centred, because the L_T^+ inner product cannot see the constant
-vector, which the projection would otherwise amplify once the residual sits
-at the rounding floor.  The kept pairs live in two doubling row buffers, so
-memory is O(kept rows * n).
+With ``reorthogonalize`` set, each new transformed residual s is projected
+against every kept one by block classical Gram-Schmidt in the Euclidean
+inner product, applied twice (CGS2): a pass is s -= (Q s) Q over the kept
+rows Q, normalised, two matrix-vector products.  The kept rows live in one
+doubling row buffer, so memory is O(kept rows * n).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .graphs import WeightedGraph, laplacian_apply
-from .treesolver import TreeFactorization, pseudo_solve
+from .treesolver import TreeFactorization, root_path_sums, subtree_sums
+# pcg_solve calls the two halves; pseudo_solve stays importable from here
+# because perfbench's tracer wraps it under this module's name.
+from .treesolver import pseudo_solve  # noqa: F401
 
 
 class PcgError(ValueError):
@@ -45,7 +57,7 @@ class PcgConfig:
     residual_tolerance: Optional[float] = None  # defaults to epsilon / 10
     record_history: bool = False
     # Full reorthogonalization of the residual sequence by block CGS2, in
-    # two row buffers that double when full (O(kept rows * n) memory).
+    # one row buffer that doubles when full (O(kept rows * n) memory).
     # Off for production solves; verification against exact-spectrum
     # iteration bounds turns it on, because those bounds describe exact
     # arithmetic and rounding-induced orthogonality loss delays plain CG.
@@ -138,13 +150,53 @@ def exact_spectrum_bound(summary, total_stretch: float, epsilon: float) -> Itera
     return iteration_bound(q, max(u, l), l, epsilon)
 
 
-_KEPT_ROWS = 64  # initial rows of the reorthogonalization buffers
+_KEPT_ROWS = 64  # initial rows of the reorthogonalization buffer
 
 
 def _grown(a: np.ndarray, rows: int) -> np.ndarray:
     out = np.empty((rows,) + a.shape[1:])
     out[: len(a)] = a
     return out
+
+
+class _SignedEdges(NamedTuple):
+    """An edge list with weights of either sign, read by ``laplacian_apply``
+    exactly as it reads a WeightedGraph's."""
+
+    n: int
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_w: np.ndarray
+
+
+def _off_tree(g: WeightedGraph, f: TreeFactorization) -> _SignedEdges:
+    """L_G - L_T as a signed edge list in slot labels.  A tree edge that g
+    holds with the identical weight cancels and is left out; every other
+    tree edge enters with weight -w_T, so a tree that is not a subgraph of g,
+    or that carries other weights, still gives the right difference."""
+    su, sv = f.slot[g.edge_u], f.slot[g.edge_v]
+    hi = np.maximum(su, sv)             # a parent's slot precedes its child's
+    cancels = (f.up[hi] == np.minimum(su, sv)) & (g.edge_w == f.weight[hi])
+    cancelled = np.zeros(f.n, dtype=bool)
+    cancelled[hi[cancels]] = True
+    extra = np.flatnonzero(~cancelled[1:]) + 1
+    keep = ~cancels
+    return _SignedEdges(
+        f.n,
+        np.concatenate((su[keep], f.up[extra])),
+        np.concatenate((sv[keep], extra)),
+        np.concatenate((g.edge_w[keep], -f.weight[extra])),
+    )
+
+
+def _split_multiply(off: _SignedEdges, f: TreeFactorization, scale: np.ndarray, p: np.ndarray):
+    """(F p, F^T L_G F p) for p on slots 1..n-1, with F = R W^{-1/2} and
+    F^T L_G F = I + F^T (L_G - L_T) F; F p comes back in slot order."""
+    phi = root_path_sums(f, p * scale)
+    mp = subtree_sums(f, laplacian_apply(off, phi))
+    mp *= scale
+    mp += p
+    return phi, mp
 
 
 def pcg_solve(
@@ -184,11 +236,19 @@ def pcg_solve(
         num = math.sqrt(max(float(d @ laplacian_apply(g, d)), 0.0))
         return num / true_norm if true_norm > 0 else num
 
+    def by_vertex(x):
+        x = x[f.slot]
+        x -= x.sum() / g.n
+        return x
+
+    off = _off_tree(g, f)
+    scale = 1.0 / np.sqrt(f.weight[1:])
+    # x = F y accumulates in slot order; s = F^T r is the transformed residual
     x = np.zeros(g.n)
-    r = bbar.copy()
-    z = pseudo_solve(f, r)
-    rz = float(r @ z)
-    denom = math.sqrt(max(rz, 0.0))
+    s = subtree_sums(f, bbar[f.preorder])
+    s *= scale
+    ss = float(s @ s)
+    denom = math.sqrt(ss)
     history = [1.0] if cfg.record_history else None
     a_hist = [a_norm_rel_err(x)] if (cfg.record_history and x_true is not None) else None
     if denom == 0.0:
@@ -198,57 +258,50 @@ def pcg_solve(
             a_norm_error=(a_norm_rel_err(x) if x_true is not None else None),
             a_norm_history=a_hist,
         )
-    p = z.copy()
+    p = s.copy()
     k = 0
     converged = False
     rel = 1.0
     if cfg.reorthogonalize:
-        # kept residuals R, preconditioned residuals Z and their r^T z
-        kept_r = np.empty((min(cfg.max_iterations + 1, _KEPT_ROWS), g.n))
-        kept_z = np.empty_like(kept_r)
-        kept_rz = np.empty(len(kept_r))
-        kept_r[0], kept_z[0], kept_rz[0] = r, z, rz
+        # the kept transformed residuals, normalised
+        kept = np.empty((min(cfg.max_iterations + 1, _KEPT_ROWS), g.n - 1))
+        kept[0] = s / denom
         h = 1
     while k < cfg.max_iterations:
-        Ap = laplacian_apply(g, p)
-        pAp = float(p @ Ap)
-        if not math.isfinite(pAp):
+        phi, mp = _split_multiply(off, f, scale, p)
+        pmp = float(p @ mp)
+        if not math.isfinite(pmp):
             raise PcgDivergenceError(f"nonfinite curvature at iteration {k}")
-        if pAp <= 0.0:
-            raise PcgDivergenceError(f"nonpositive curvature {pAp} at iteration {k}")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = pseudo_solve(f, r)
+        if pmp <= 0.0:
+            raise PcgDivergenceError(f"nonpositive curvature {pmp} at iteration {k}")
+        alpha = ss / pmp
+        x += alpha * phi
+        s -= alpha * mp
         if cfg.reorthogonalize:
             for _ in range(2):
-                c = (kept_z[:h] @ r) / kept_rz[:h]
-                r -= c @ kept_r[:h]
-                z -= c @ kept_z[:h]
-            r -= r.sum() / g.n  # the true residual has mean zero
-        rz_new = float(r @ z)
-        if cfg.reorthogonalize and rz_new > 0.0:
-            if h == len(kept_rz):
-                rows = min(2 * h, cfg.max_iterations + 1)
-                kept_r = _grown(kept_r, rows)
-                kept_z = _grown(kept_z, rows)
-                kept_rz = _grown(kept_rz, rows)
-            kept_r[h], kept_z[h], kept_rz[h] = r, z, rz_new
+                s -= (kept[:h] @ s) @ kept[:h]
+        ss_new = float(s @ s)
+        if cfg.reorthogonalize and ss_new > 0.0:
+            if h == len(kept):
+                kept = _grown(kept, min(2 * h, cfg.max_iterations + 1))
+            kept[h] = s / math.sqrt(ss_new)
             h += 1
-        if not math.isfinite(rz_new):
+        if not math.isfinite(ss_new):
             raise PcgDivergenceError(f"nonfinite residual at iteration {k + 1}")
         k += 1
-        rel = math.sqrt(max(rz_new, 0.0)) / denom
+        rel = math.sqrt(ss_new) / denom
         if history is not None:
             history.append(rel)
         if a_hist is not None:
-            a_hist.append(a_norm_rel_err(x))
-        if rz_new <= 0.0 or rel <= rtol:
+            a_hist.append(a_norm_rel_err(by_vertex(x)))
+        if ss_new <= 0.0 or rel <= rtol:
             converged = True
             break
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
+        beta = ss_new / ss
+        ss = ss_new
+        p *= beta
+        p += s
+    x = by_vertex(x)
     return PcgOutcome(
         x=x,
         iterations=k,

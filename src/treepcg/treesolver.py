@@ -10,10 +10,13 @@ every pivot equal to its parent-edge weight.
 
 ``factor`` takes the DFS-preorder layout that ``SpanningTree.preorder_layout``
 builds and caches, in which every subtree is a contiguous range of slots.  A
-solve is then a handful of whole-array calls: subtree sums are differences of
-one prefix sum of b, and root-path sums are one more prefix sum of the drops,
-from which each drop is taken out again right after its subtree ends.  Both
-cost O(n), with no per-vertex Python code.
+solve is then two halves of a few whole-array calls each, both O(n) with no
+per-vertex Python code: ``subtree_sums`` (R^T) takes subtree sums as
+differences of one prefix sum, and ``root_path_sums`` (R) takes root-path sums
+as one more prefix sum of the drops, from which each drop is taken out again
+right after its subtree ends.  ``pseudo_solve`` is R W^{-1} R^T between a
+gather into slot order and a gather back; PCG calls the two halves on their
+own, in slot order, with W^{-1/2} on each side (see ``pcg``).
 """
 from __future__ import annotations
 
@@ -31,19 +34,21 @@ class TreeFactorization:
 
     ``preorder`` lists the vertices in DFS preorder and ``slot`` maps a vertex
     to its place in it; the subtree at slot p is ``preorder[p : last[p] + 1]``,
-    and ``weight[p]`` is the weight of the edge from slot p to its parent.
-    ``perm`` is the tree's BFS order (root first).
+    ``up[p]`` is the slot of the parent of slot p (-1 at the root), and
+    ``weight[p]`` is the weight of the edge between them.  ``perm`` is the
+    tree's BFS order (root first).
     """
 
-    __slots__ = ("n", "root", "perm", "preorder", "slot", "last", "weight")
+    __slots__ = ("n", "root", "perm", "preorder", "slot", "last", "up", "weight")
 
-    def __init__(self, n, root, perm, preorder, slot, last, weight):
+    def __init__(self, n, root, perm, preorder, slot, last, up, weight):
         self.n = n
         self.root = root
         self.perm = perm
         self.preorder = preorder
         self.slot = slot
         self.last = last
+        self.up = up
         self.weight = weight
 
     @property
@@ -64,6 +69,8 @@ def factor(t: SpanningTree) -> TreeFactorization:
     """The tree's DFS-preorder layout, set up for flow-and-potential solves;
     O(n)."""
     preorder, slot, last = t.preorder_layout()
+    up = slot[t.parent[preorder]]
+    up[0] = -1
     return TreeFactorization(
         n=t.n,
         root=t.root,
@@ -71,8 +78,30 @@ def factor(t: SpanningTree) -> TreeFactorization:
         preorder=preorder,
         slot=slot,
         last=last,
+        up=up,
         weight=t.parent_weight[preorder],
     )
+
+
+def subtree_sums(f: TreeFactorization, load) -> np.ndarray:
+    """R^T: for each slot 1..n-1, the sum of ``load`` (given in slot order)
+    over the subtree at that slot, by one prefix sum.  For a mean-zero load
+    these are the tree flows on the parent edges."""
+    prefix = np.cumsum(load)
+    return prefix[f.last[1:]] - prefix[:-1]
+
+
+def root_path_sums(f: TreeFactorization, drop) -> np.ndarray:
+    """R: the potential at every slot, in slot order, given the drop across
+    the parent edge of each slot 1..n-1; the potential at a slot is the sum
+    of the drops on its root path, and the root sits at 0.  Each drop enters
+    at its own slot and leaves right after its range ends, so this is one
+    prefix sum."""
+    exits = np.bincount(f.last[1:], weights=drop, minlength=f.n)
+    steps = np.empty(f.n)
+    steps[0] = 0.0
+    np.subtract(drop, exits[:-1], out=steps[1:])
+    return np.cumsum(steps, out=steps)
 
 
 def pseudo_solve(f: TreeFactorization, b) -> np.ndarray:
@@ -81,16 +110,7 @@ def pseudo_solve(f: TreeFactorization, b) -> np.ndarray:
     if b.shape != (f.n,):
         raise TreeSolveError(f"vector length {b.shape} does not match n={f.n}")
     # sum()/n is mean() without its per-call overhead, and bit-identical
-    prefix = np.cumsum(b[f.preorder] - b.sum() / f.n)
-    # slots 1..n-1: the flow on the parent edge is the load on the subtree
-    # range [p, last[p]], and the potential drop across the edge is flow/weight
-    drop = np.zeros(f.n)
-    np.subtract(prefix[f.last[1:]], prefix[:-1], out=drop[1:])
-    drop[1:] /= f.weight[1:]
-    # the potential at a slot sums the drops of the ranges that contain it:
-    # each drop enters at its own slot and leaves right after its range ends
-    exits = np.bincount(f.last[1:], weights=drop[1:], minlength=f.n)
-    drop[1:] -= exits[:-1]
-    x = np.cumsum(drop)[f.slot]
+    flow = subtree_sums(f, b[f.preorder] - b.sum() / f.n)
+    x = root_path_sums(f, flow / f.weight[1:])[f.slot]
     x -= x.sum() / f.n
     return x

@@ -26,6 +26,33 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def grounded_a_norm_error(g, b, x):
+    """Relative A-norm error of x against the mean-zero solution of
+    L x = b - mean(b), by a dense solve grounded at vertex 0."""
+    L = treepcg.dense_laplacian(g, cap=g.n)
+    b = b - b.mean()
+    x_true = np.zeros(g.n)
+    x_true[1:] = np.linalg.solve(L[1:, 1:], b[1:])
+    x_true -= x_true.mean()
+    d = x - x_true
+    d -= d.mean()  # L 1 = 0 exactly, but not in rounded arithmetic
+    return math.sqrt(d @ L @ d) / math.sqrt(x_true @ L @ x_true)
+
+
+def capture_pcg_solves(monkeypatch):
+    """Record (g, b, outcome) of every pcg_solve the CLI runs."""
+    seen = []
+    real = treepcg.cli.pcg_solve
+
+    def capture(g, f, b, cfg, x_true=None):
+        out = real(g, f, b, cfg, x_true=x_true)
+        seen.append((g, b, out))
+        return out
+
+    monkeypatch.setattr(treepcg.cli, "pcg_solve", capture)
+    return seen
+
+
 class TestExperimentSpec:
     def test_requires_seeds(self):
         with pytest.raises(CliError, match="seed"):
@@ -168,12 +195,28 @@ class TestScaling:
         header = p1.read_text().splitlines()[0]
         assert header == "m,seed,stretch_total,stretch_cbrt,iterations,k_bound"
 
-    def test_csv_bytes_pinned(self, tmp_path):
-        # sha256 recorded at the commit before graphs were built from arrays
+    def test_csv_bytes_pinned(self, tmp_path, monkeypatch):
+        # sha256 recorded at the commit that moved PCG onto the tree-split
+        # system; the last bits of x, and so a few iteration counts, moved
         out = tmp_path / "s.csv"
+        solves = capture_pcg_solves(monkeypatch)
         assert main(["scaling", "--gen", "grid:10x10:logw", "--gen", "gnp:n=150,p=0.02:unit",
                      "--tree", "akpw", "--seeds", "0,1", "--out", str(out)]) == 0
-        assert _sha256(out) == "9f4019eff580596055a3a9c002f29866325a109659780d7039a827e2f8b7278c"
+        assert _sha256(out) == "0594f925e3ce2ce082151e58ceeb1e1d1521e3f257e1f7e6e2e30f251c4b73cf"
+        # (iterations, stretch_total) per row, recorded before the split.
+        # Per row the iterations moved 63, 62, 51, 54 -> 62, 61, 48, 55:
+        # plain CG at ~50 iterations moves by a few under any reordering of
+        # its rounding, so the +-2% bound holds for the sweep's total
+        want = [(63, 1785.261135199207), (62, 2168.522336821035), (51, 795.0), (54, 908.0)]
+        lines = out.read_text().splitlines()[1:]
+        rows = [(int(line.split(",")[4]), float(line.split(",")[2])) for line in lines]
+        assert [st for _, st in rows] == [st for _, st in want]
+        total, want_total = sum(k for k, _ in rows), sum(k for k, _ in want)
+        assert abs(total - want_total) <= 0.02 * want_total
+        assert len(solves) == len(want)
+        for g, b, outcome in solves:
+            assert outcome.converged
+            assert grounded_a_norm_error(g, b, outcome.x) <= 1e-8
 
 
 class TestSolve:
@@ -222,13 +265,14 @@ class TestSolve:
                      "--b", str(tmp_path / "no.txt"), "--out", "x"]) == 2
 
     @pytest.mark.parametrize("tree, x_digest, sidecar_digest", [
-        ("maxw", "010f27fd75db1cb0e2ae4a68596c3a59181e27069176759cd107b0cfd33027ea",
-         "503e09a7f3ba908097178a4c72d9080d04fe4ed076209dd0c03b05a8f472bad7"),
-        ("akpw", "79e4f5421a0c6a80af912cac35469f7e81e0b30e3af9e5b06f4a1a4d25bada58",
-         "a6d7853e92e55324f6f912a87156f08da7744249135b2575e29775e6e2c8d642"),
+        ("maxw", "e94e4a97f69bc56df765edf922a919d39872abbec375dd234fabcc22d2b6e19c",
+         "f427a72aa62b3c29ff579db72a58c683954e6d89ad4c57284560aaca88552298"),
+        ("akpw", "b74afb51598780c041979d57d1c4ac911a028517caf5ad71785d00d168c69262",
+         "35c60af141cd4cc84149c1db3e326adc530f2edacb1c2d6e47e1c6561daea8c0"),
     ])
     def test_solution_bytes_pinned(self, tmp_path, tree, x_digest, sidecar_digest):
-        # sha256 recorded at the commit before graphs were built from arrays
+        # sha256 recorded at the commit that moved PCG onto the tree-split
+        # system; the last bits of x and final_residual moved by design
         gp, bp, out = tmp_path / "g.txt", tmp_path / "b.txt", tmp_path / "x.txt"
         assert main(["gen", "--gen", "grid:30x30:logw", "--seeds", "0", "--out", str(gp)]) == 0
         bp.write_text("".join(f"{(i * 7919) % 13 - 6.0!r}\n" for i in range(900)))
@@ -236,6 +280,15 @@ class TestSolve:
                      "--out", str(out)]) == 0
         assert _sha256(out) == x_digest
         assert _sha256(tmp_path / "x.txt.json") == sidecar_digest
+        # (iterations, stretch_total) recorded before the split
+        iterations, stretch_total = {"maxw": (70, 2702.800203139761),
+                                     "akpw": (282, 35624.76990465975)}[tree]
+        sidecar = json.loads((tmp_path / "x.txt.json").read_text())
+        assert sidecar["converged"]
+        assert abs(sidecar["iterations"] - iterations) <= 0.02 * iterations
+        assert sidecar["stretch_total"] == stretch_total
+        g = read_edge_list(gp)
+        assert grounded_a_norm_error(g, read_vector(bp), read_vector(out)) <= 1e-8
 
 
 class TestGenAndStretch:

@@ -25,8 +25,8 @@ from treepcg import (
 )
 from treepcg.cli import build_tree
 from treepcg.graphs import laplacian_apply
-from treepcg.spectral import exact_qul, generalized_spectrum, tail_count
-from treepcg.treesolver import pseudo_solve
+from treepcg.spectral import _tree_path_factor, exact_qul, generalized_spectrum, tail_count
+from treepcg.treesolver import pseudo_solve, subtree_sums
 
 
 def triangle_setup():
@@ -188,23 +188,29 @@ class TestPcgSolve:
 
 
 class TestTraceBoundaries:
-    """pcg_solve looks up pseudo_solve and laplacian_apply in the treepcg.pcg
-    module at call time, so a wrapper installed there sees every call."""
+    """pcg_solve looks up laplacian_apply and the two tree halves in the
+    treepcg.pcg module at call time, so a wrapper installed there sees every
+    call."""
+
+    NAMES = ("pseudo_solve", "subtree_sums", "root_path_sums", "laplacian_apply")
 
     def counted_solve(self, monkeypatch, rng, cfg, with_x_true):
-        calls = {"pseudo_solve": 0, "laplacian_apply": 0}
+        g = generate("grid:12x12:logw", seed=0)
+        calls = dict.fromkeys(self.NAMES, 0)
+        calls["laplacian_apply_off_tree"] = 0
 
         def counting(name):
             original = getattr(treepcg.pcg, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "laplacian_apply" and len(args[0].edge_w) == g.m - g.n + 1:
+                    calls["laplacian_apply_off_tree"] += 1
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in calls:
+        for name in self.NAMES:
             monkeypatch.setattr(treepcg.pcg, name, counting(name))
-        g = generate("grid:12x12:logw", seed=0)
         t = max_weight_spanning_tree(g)
         b = rng.standard_normal(g.n)
         b -= b.mean()
@@ -215,13 +221,75 @@ class TestTraceBoundaries:
 
     def test_one_solve_and_one_multiply_per_iteration(self, monkeypatch, rng):
         k, calls = self.counted_solve(monkeypatch, rng, PcgConfig(epsilon=1e-8), False)
-        assert calls == {"pseudo_solve": k + 1, "laplacian_apply": k}
+        # the extra subtree sum transforms the right-hand side
+        assert calls == {"pseudo_solve": 0, "subtree_sums": k + 1, "root_path_sums": k,
+                         "laplacian_apply": k, "laplacian_apply_off_tree": k}
 
     def test_a_norm_tracking_multiplies_once_per_recorded_iterate(self, monkeypatch, rng):
         cfg = PcgConfig(epsilon=1e-8, record_history=True)
         k, calls = self.counted_solve(monkeypatch, rng, cfg, True)
-        # k for CG, k + 1 recorded errors, the final error and x_true's norm
-        assert calls == {"pseudo_solve": k + 1, "laplacian_apply": 2 * k + 3}
+        # k off-tree multiplies for CG; k + 1 recorded errors, the final error
+        # and x_true's norm multiply by the whole graph
+        assert calls == {"pseudo_solve": 0, "subtree_sums": k + 1, "root_path_sums": k,
+                         "laplacian_apply": 2 * k + 3, "laplacian_apply_off_tree": k}
+
+
+class TestSplitSystem:
+    """pcg_solve runs CG on F^T L_G F y = F^T b with F = R W^{-1/2}, the tree
+    factor of the spectral oracle, multiplying by the off-tree edges only."""
+
+    @staticmethod
+    def operator(g, f):
+        """The dense matrix of the per-iteration multiply, in slot order."""
+        off = treepcg.pcg._off_tree(g, f)
+        scale = 1.0 / np.sqrt(f.weight[1:])
+        eye = np.eye(g.n - 1)
+        return np.array([treepcg.pcg._split_multiply(off, f, scale, e)[1] for e in eye]).T
+
+    @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
+                                      "regular:n=400,d=4:unit"])
+    @pytest.mark.parametrize("tree", ["maxw", "akpw"])
+    def test_iterates_on_the_oracles_matrix(self, spec, tree):
+        # measured on these six: entries within 1.8e-15 of the largest, and
+        # traces within 1.2e-15 of the total stretch, relative
+        g = generate(spec, 0)
+        t = build_tree(g, tree, 0)
+        f = factor(t)
+        F = _tree_path_factor(t)
+        want = F.T @ dense_laplacian(g) @ F
+        # slot p > 0 holds vertex preorder[p], column preorder[p] - 1 of F
+        cols = f.preorder[1:] - (f.preorder[1:] > t.root)
+        got = self.operator(g, f)
+        assert np.abs(got - want[np.ix_(cols, cols)]).max() <= 1e-13 * np.abs(want).max()
+        st = stretch_report(g, t).total
+        assert abs(np.trace(got) - st) <= 1e-13 * st
+
+    def off_tree_solve(self, g, t, rng):
+        f = factor(t)
+        b = rng.standard_normal(g.n)
+        b -= b.mean()
+        x_true = np.zeros(g.n)
+        x_true[1:] = np.linalg.solve(dense_laplacian(g)[1:, 1:], b[1:])
+        x_true -= x_true.mean()
+        out = pcg_solve(g, f, b, PcgConfig(epsilon=1e-8, max_iterations=4 * g.n), x_true=x_true)
+        assert out.converged and out.a_norm_error <= 1e-8
+        return len(treepcg.pcg._off_tree(g, f).edge_w)
+
+    def test_tree_with_other_weights(self, rng):
+        # every tree edge lies in g with another weight, so none cancels
+        g = generate("grid:20x20:logw", 0)
+        reweighted = WeightedGraph(g.n, [(u, v, w * rng.uniform(0.5, 2.0)) for u, v, w in g.edges])
+        assert self.off_tree_solve(g, max_weight_spanning_tree(reweighted), rng) == g.m + g.n - 1
+
+    def test_tree_with_an_edge_not_in_g(self, rng):
+        g = generate("grid:20x20:logw", 0)
+        edges = max_weight_spanning_tree(g).edges
+        # drop the tree edge (0, 1) and reconnect vertex 0 by the diagonal
+        # (0, 21), which the grid does not have
+        edges.remove(next(e for e in edges if e[:2] == (0, 1)))
+        assert (0, 21) not in {(u, v) for u, v, _ in g.edges}
+        t = SpanningTree.from_edges(g.n, edges + [(0, 21, 1.0)])
+        assert self.off_tree_solve(g, t, rng) == g.m - (g.n - 2) + 1
 
 
 class TestTailCountIntegration:
@@ -292,23 +360,70 @@ def loop_reorthogonalized_pcg(g, f, b, cfg, x_true):
     return (x, k, converged, a_hist), kept
 
 
+def loop_split_pcg(g, f, b, cfg, x_true):
+    """Reference: pcg_solve's reorthogonalized path with one modified
+    Gram-Schmidt round per kept transformed residual s = F^T r in place of
+    the block projection, on the same split multiply.  Returns (x,
+    iterations, converged, a_norm_history) and the kept rows, normalised."""
+    true_norm = math.sqrt(float(x_true @ laplacian_apply(g, x_true)))
+
+    def a_norm_rel_err(x_slots):
+        x = x_slots[f.slot] - x_slots.sum() / g.n
+        d = x - x_true
+        return math.sqrt(max(float(d @ laplacian_apply(g, d)), 0.0)) / true_norm
+
+    off = treepcg.pcg._off_tree(g, f)
+    scale = 1.0 / np.sqrt(f.weight[1:])
+    x = np.zeros(g.n)
+    s = subtree_sums(f, (b - b.mean())[f.preorder]) * scale
+    ss = float(s @ s)
+    denom = math.sqrt(ss)
+    a_hist = [a_norm_rel_err(x)]
+    p = s.copy()
+    k = 0
+    converged = False
+    kept = [s / denom]
+    while k < cfg.max_iterations:
+        phi, mp = treepcg.pcg._split_multiply(off, f, scale, p)
+        pmp = float(p @ mp)
+        if not math.isfinite(pmp) or pmp <= 0.0:
+            raise PcgDivergenceError(f"curvature {pmp} at iteration {k}")
+        alpha = ss / pmp
+        x += alpha * phi
+        s -= alpha * mp
+        for q in kept:
+            s -= float(q @ s) * q
+        ss_new = float(s @ s)
+        if ss_new > 0.0:
+            kept.append(s / math.sqrt(ss_new))
+        if not math.isfinite(ss_new):
+            raise PcgDivergenceError(f"nonfinite residual at iteration {k + 1}")
+        k += 1
+        a_hist.append(a_norm_rel_err(x))
+        if ss_new <= 0.0 or math.sqrt(ss_new) / denom <= cfg.effective_residual_tolerance():
+            converged = True
+            break
+        beta = ss_new / ss
+        ss = ss_new
+        p = s + beta * p
+    return (x[f.slot] - x.sum() / g.n, k, converged, a_hist), np.array(kept)
+
+
 def solve_keeping_rows(g, f, b, cfg, x_true=None):
-    """pcg_solve, plus the rows its reorthogonalization buffers hold when it
+    """pcg_solve, plus the rows its reorthogonalization buffer holds when it
     returns, read from its locals by a profile hook."""
     kept = []
 
     def hook(frame, event, arg):
         if event == "return" and frame.f_code is pcg_solve.__code__:
-            h = frame.f_locals["h"]
-            kept.extend(frame.f_locals[name][:h].copy()
-                        for name in ("kept_r", "kept_z", "kept_rz"))
+            kept.append(frame.f_locals["kept"][:frame.f_locals["h"]].copy())
 
     sys.setprofile(hook)
     try:
         out = pcg_solve(g, f, b, cfg, x_true=x_true)
     finally:
         sys.setprofile(None)
-    return out, tuple(kept)
+    return out, kept[0]
 
 
 def first_accurate(a_hist, eps=1e-8):
@@ -317,9 +432,11 @@ def first_accurate(a_hist, eps=1e-8):
 
 def max_off_orthonormality(kept):
     """Largest off-diagonal of the normalised Gram matrix
-    |r_i^T z_j| / sqrt(r_i^T z_i * r_j^T z_j) of the kept rows."""
-    R, Z, rz = kept
-    gram = np.abs(R @ Z.T) / np.sqrt(np.outer(rz, rz))
+    |s_i^T s_j| / sqrt(s_i^T s_i * s_j^T s_j) of the kept rows (for
+    transformed residuals s = F^T r, s_i^T s_j = r_i^T z_j)."""
+    gram = kept @ kept.T
+    d = np.sqrt(np.diag(gram))
+    gram = np.abs(gram) / np.outer(d, d)
     np.fill_diagonal(gram, 0.0)
     return float(gram.max())
 
@@ -346,64 +463,76 @@ def verify_config(n):
                      reorthogonalize=True)
 
 
+def assert_x_close(out, ref_x):
+    assert np.abs(out.x - ref_x).max() <= 1e-13 * np.abs(ref_x).max()
+
+
 def assert_close(out, ref_x, ref_a_hist):
     """x within 1e-13 of max |x|, and each relative A-norm error within 1e-14
     (at least twice the largest gaps measured, see below)."""
-    assert np.abs(out.x - ref_x).max() <= 1e-13 * np.abs(ref_x).max()
+    assert_x_close(out, ref_x)
     for got, want in zip(out.a_norm_history, ref_a_hist):
         assert abs(got - want) <= 1e-14
 
 
 class TestBlockReorthogonalization:
-    """The block projection (classical Gram-Schmidt, two passes) against the
-    per-vector loop it replaced, on the inputs ``treepcg verify`` builds."""
+    """The block projection (classical Gram-Schmidt, two passes) against a
+    per-vector loop on the same split system, and against the x-space loop
+    that ran before the split, on the inputs ``treepcg verify`` builds."""
 
     @pytest.mark.parametrize("spec", DESK_SPECS)
     @pytest.mark.parametrize("tree", ["maxw", "akpw"])
     def test_matches_the_loop_on_verify_runs(self, spec, tree):
-        # measured over these 24 runs: max |dx| / max |x| 2.1e-14 and
-        # max |d a_k| 4.4e-15 (the errors are relative, starting at 1)
+        # measured over these 24 runs against the split-system loop: max
+        # |dx| / max |x| 1.4e-14 and max |d a_k| 2.1e-15 (the errors are
+        # relative, starting at 1); against the x-space loop 2.4e-14 and
+        # 2.0e-14, rounding of two different iterations
         for seed in range(4):
             g, f, b, x_true = desk_instance(spec, tree, seed)
             cfg = verify_config(g.n)
             (x, k, converged, a_hist), _ = loop_reorthogonalized_pcg(g, f, b, cfg, x_true)
+            (xs, ks, cs, as_hist), _ = loop_split_pcg(g, f, b, cfg, x_true)
             out = pcg_solve(g, f, b, cfg, x_true=x_true)
-            assert (out.iterations, out.converged) == (k, converged)
+            assert (out.iterations, out.converged) == (k, converged) == (ks, cs)
             assert first_accurate(out.a_norm_history) == first_accurate(a_hist)
             assert len(out.a_norm_history) == len(a_hist)
-            assert_close(out, x, a_hist)
+            assert_x_close(out, x)
+            assert_close(out, xs, as_hist)
 
     @pytest.mark.parametrize("spec", DESK_SPECS)
     @pytest.mark.parametrize("tree", ["maxw", "akpw"])
     def test_runs_past_the_rounding_floor(self, spec, tree):
         # criterion-4 style: no residual stop and a budget past n, so each
-        # run ends only when r^T z is no longer positive, after its A-norm
-        # error has sat at the rounding floor (1e-15 to 1e-13) for dozens of
-        # iterations.  Where that happens is decided by rounding, so the
-        # iteration counts differ: the loop stopped after 88-255 iterations
-        # on seeds 0-3, the block projection, which keeps r mean-zero, after
-        # 234-449.  Without that centring half of those runs overflowed
-        # instead (nonfinite curvature) while the loop stopped cleanly.
+        # run ends only when its residual measure is no longer positive,
+        # after its A-norm error has sat at the rounding floor (1e-15 to
+        # 1e-13) for dozens of iterations.  Where that happens is decided by
+        # rounding, so the iteration counts differ: the x-space loop stops
+        # when r^T z <= 0, after 88-246 iterations on seeds 0-1; the split
+        # system keeps s^T s, a sum of squares, which reaches 0 only when it
+        # underflows, after 238-449 iterations.
         for seed in range(2):
             g, f, b, x_true = desk_instance(spec, tree, seed)
             cfg = PcgConfig(epsilon=1e-8, max_iterations=2 * g.n, residual_tolerance=0.0,
                             record_history=True, reorthogonalize=True)
             (x, k, converged, a_hist), ref_kept = loop_reorthogonalized_pcg(g, f, b, cfg, x_true)
+            (xs, ks, cs, as_hist), split_kept = loop_split_pcg(g, f, b, cfg, x_true)
             out, kept = solve_keeping_rows(g, f, b, cfg, x_true)
-            assert converged and out.converged
-            # the last residual had r^T z <= 0 and was not kept
-            assert len(ref_kept[2]) == k and len(kept[2]) == out.iterations
-            assert out.iterations > 128  # the buffers doubled twice (64, 128, 256)
+            assert converged and cs and out.converged
+            # the last residual had r^T z <= 0, or s^T s = 0, and was not kept
+            assert len(ref_kept[2]) == k and len(split_kept) == ks
+            assert len(kept) == out.iterations
+            assert out.iterations > 128  # the buffer doubled twice (64, 128, 256)
             first = first_accurate(a_hist)
-            assert first_accurate(out.a_norm_history) == first
-            assert_close(out, x, a_hist[: first + 1])
-            assert max(out.a_norm_error, a_hist[-1]) <= 1e-12
+            assert first_accurate(out.a_norm_history) == first_accurate(as_hist) == first
+            assert_x_close(out, x)
+            assert_close(out, xs, as_hist[: first + 1])
+            assert max(out.a_norm_error, a_hist[-1], as_hist[-1]) <= 1e-12
 
     @pytest.mark.parametrize("spec", DESK_SPECS)
     @pytest.mark.parametrize("tree", ["maxw", "akpw"])
     def test_kept_rows_stay_orthonormal(self, spec, tree):
-        # largest normalised off-diagonal over seeds 0-3: at most 4.9e-15
-        # here, and at most 5.7e-15 for the per-vector loop
+        # largest normalised off-diagonal over seeds 0-3: at most 4.4e-16
+        # here (4.9e-15 for the x-space block path before the split)
         for seed in range(4):
             g, f, b, x_true = desk_instance(spec, tree, seed)
             _, kept = solve_keeping_rows(g, f, b, verify_config(g.n))
@@ -421,7 +550,7 @@ class TestBlockReorthogonalization:
         b = rng.standard_normal(g.n)
         b -= b.mean()
         out, kept = solve_keeping_rows(g, f, b, verify_config(g.n))
-        assert out.converged and len(kept[2]) > 128
+        assert out.converged and len(kept) > 128
         assert max_off_orthonormality(kept) <= 2e-12
 
     def test_memory_follows_kept_rows_not_the_budget(self):

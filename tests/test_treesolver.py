@@ -12,6 +12,9 @@ from treepcg import (
     pseudo_solve,
 )
 
+from treepcg.cli import build_tree
+from treepcg.graphs import generate
+
 from conftest import deep_tree, random_tree, root_path
 
 
@@ -161,3 +164,41 @@ class TestDeepTreeAccuracy:
         residual = np.abs(tree_laplacian_apply(t, x) - b).max()
         scale = lap_norm * np.abs(x).max() + np.abs(b).max()
         assert residual <= 1e-13 * scale
+
+
+def pseudo_solve_in_one_body(f, b):
+    """Reference: pseudo_solve as one function body, before it was split into
+    the two tree halves that PCG calls on their own."""
+    b = np.asarray(b, dtype=np.float64)
+    prefix = np.cumsum(b[f.preorder] - b.sum() / f.n)
+    drop = np.zeros(f.n)
+    np.subtract(prefix[f.last[1:]], prefix[:-1], out=drop[1:])
+    drop[1:] /= f.weight[1:]
+    exits = np.bincount(f.last[1:], weights=drop[1:], minlength=f.n)
+    drop[1:] -= exits[:-1]
+    x = np.cumsum(drop)[f.slot]
+    x -= x.sum() / f.n
+    return x
+
+
+class TestTreeHalves:
+    """pseudo_solve is the subtree-sum half, a division by the edge weights
+    and the root-path half, bit for bit the one-body solve."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 1 << 17])
+    @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
+    def test_bit_identical_to_one_body(self, kind, n, rng):
+        for decades in (1, 4):
+            f = factor(deep_tree(kind, n, rng, decades))
+            b = rng.standard_normal(n)
+            assert np.array_equal(pseudo_solve(f, b), pseudo_solve_in_one_body(f, b))
+
+    @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
+                                      "regular:n=400,d=4:unit"])
+    @pytest.mark.parametrize("tree", ["maxw", "akpw"])
+    def test_bit_identical_on_desk_specs(self, spec, tree, rng):
+        g = generate(spec, 0)
+        f = factor(build_tree(g, tree, 0))
+        for _ in range(3):
+            b = rng.standard_normal(g.n)
+            assert np.array_equal(pseudo_solve(f, b), pseudo_solve_in_one_body(f, b))
