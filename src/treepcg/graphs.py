@@ -252,12 +252,12 @@ def generate(spec, seed: int) -> WeightedGraph:
         n, u, v = _grid_edges(spec.params["rows"], spec.params["cols"])
     elif spec.kind == "gnp":
         n, u, v = _gnp_edges(spec.params["n"], spec.params["p"], rng)
-        if n < 2:
-            raise GraphError(f"giant component of {spec} collapsed to {n} vertices")
     elif spec.kind == "regular":
         n, u, v = _regular_edges(spec.params["n"], spec.params["d"], int(seed))
     else:
         raise GraphError(f"unknown generator kind {spec.kind!r}")
+    if n < 2:
+        raise GraphError(f"{spec} gives {n} vertices, fewer than 2")
     wrng = np.random.default_rng([int(seed), 0x17])
     if spec.weighting == "unit":
         weights = np.ones(len(u))

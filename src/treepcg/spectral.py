@@ -54,7 +54,8 @@ def dense_tree_laplacian(t: SpanningTree) -> np.ndarray:
 
 def _tree_path_factor(t: SpanningTree) -> np.ndarray:
     """F = R[:, non-root] / sqrt(parent weights), so F F^T is L_T^{-1} grounded
-    at the root; each row copies its parent's row, in BFS order."""
+    at the root; each row copies its parent's row, parents first, in
+    ``t.order``."""
     R = np.zeros((t.n, t.n))
     for u in t.order[1:].tolist():
         R[u] = R[t.parent[u]]

@@ -10,6 +10,7 @@ with no per-edge Python code.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,35 @@ class TreeError(ValueError):
     """Invalid tree construction or graph/tree mismatch."""
 
 
+def _preorder(parent, root) -> np.ndarray:
+    """The vertices that parent links reach from the root, in DFS preorder,
+    children in ascending id; O(n) with one stack.  Lookups by vertex id land
+    at random places, so the children lists are int64 arrays, not lists: an
+    entry is 8 bytes in one place rather than a pointer to an int object."""
+    n = len(parent)
+    # children in descending id, so that the stack pops them ascending; the
+    # root, whose parent is -1, sorts first
+    kids = n - 1 - np.argsort(parent[::-1], kind="stable")[1:]
+    ptr = array("q", np.concatenate(([0], np.cumsum(np.bincount(parent[kids], minlength=n)))).tobytes())
+    kids = array("q", kids.tobytes())
+    order = array("q")
+    stack = array("q", [root])
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack += kids[ptr[x]:ptr[x + 1]]
+    return np.frombuffer(order, dtype=np.int64)
+
+
 class SpanningTree:
     """Rooted spanning tree with parent links and cached path-resistance data.
 
-    Immutable after construction.  The DFS-preorder layout and the LCA table
-    are built lazily on first use, so that solve-only workloads at large n
-    never pay the O(n log n) table cost.
+    Immutable after construction.  ``__init__`` lays the vertices out in DFS
+    preorder, children in ascending id: ``order`` lists them, ``slot`` maps a
+    vertex to its place in it, the subtree at slot p is
+    ``order[p : last[p] + 1]``, and ``up[p]`` is the slot of the parent of
+    slot p (-1 at the root).  The LCA table is built lazily on first use, so
+    that solve-only workloads at large n never pay its O(n log n) cost.
     """
 
     __slots__ = (
@@ -36,8 +60,10 @@ class SpanningTree:
         "parent_weight",
         "depth",
         "order",
+        "slot",
+        "last",
+        "up",
         "resistance_prefix",
-        "_layout",
         "_table",
     )
 
@@ -56,36 +82,39 @@ class SpanningTree:
                 raise TreeError(f"vertex {u} has invalid parent {parent[u]}")
             raise TreeError(f"edge ({u}, {parent[u]}) has nonpositive weight")
 
-        # children in ascending id; the root, whose parent is -1, sorts first
-        kids = np.argsort(parent, kind="stable")[1:]
-        ptr = np.concatenate(([0], np.cumsum(np.bincount(parent[kids], minlength=n)))).tolist()
-        kids = kids.tolist()
-        order = [root]
-        for x in order:             # the list grows while it is iterated
-            order += kids[ptr[x]:ptr[x + 1]]
+        order = _preorder(parent, root)
         if len(order) != n:
             raise TreeError("parent links do not reach every vertex from the root")
-        # parents before children, so each prefix is its parent's plus one term
-        par = parent.tolist()
-        inv = (1.0 / np.where(nonroot, parent_weight, 1.0)).tolist()
+        slot = np.empty(n, dtype=np.int64)
+        slot[order] = np.arange(n)
+        up = slot[parent[order]]
+        up[0] = -1
+        ups = up.tolist()
+        # parents first, so each prefix is its parent's plus one term
+        inv = (1.0 / np.where(nonroot, parent_weight, 1.0))[order].tolist()
         depth = [0] * n
         prefix = [0.0] * n
-        for c in order[1:]:
-            p = par[c]
-            depth[c] = depth[p] + 1
-            prefix[c] = prefix[p] + inv[c]
-        order = np.array(order, dtype=np.int64)
-        depth = np.array(depth, dtype=np.int64)
+        for i in range(1, n):
+            p = ups[i]
+            depth[i] = depth[p] + 1
+            prefix[i] = prefix[p] + inv[i]
+        depth = np.array(depth, dtype=np.int64)     # frees the lists before the next pass
         prefix = np.array(prefix)
+        # children first: subtree sizes, and so where each range ends
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[ups[i]] += size[i]
 
         self.n = n
         self.root = root
         self.parent = parent
         self.parent_weight = parent_weight
-        self.depth = depth
+        self.depth = depth[slot]
         self.order = order
-        self.resistance_prefix = prefix
-        self._layout = None
+        self.slot = slot
+        self.last = np.arange(n) + np.array(size, dtype=np.int64) - 1
+        self.up = up
+        self.resistance_prefix = prefix[slot]
         self._table = None
 
     @classmethod
@@ -144,53 +173,14 @@ class SpanningTree:
 
     # -- DFS preorder and LCA ---------------------------------------------
 
-    def preorder_layout(self):
-        """DFS preorder, children in BFS order: ``(preorder, slot, last)``.
-
-        ``preorder`` lists the vertices, ``slot`` maps a vertex to its place
-        in it, and the subtree at slot p is ``preorder[p : last[p] + 1]``.
-        Built on first use by two flat-list passes over BFS positions; O(n).
-        """
-        if self._layout is None:
-            n = self.n
-            perm = self.order               # BFS order: parents first, siblings adjacent
-            pos = np.empty(n, dtype=np.int64)
-            pos[perm] = np.arange(n)
-            parent_pos = pos[self.parent[perm]].tolist()   # parent_pos[0] is unused
-            # leaves first: subtree sizes, and for each child the total size of
-            # its later siblings (siblings are adjacent in BFS order)
-            size = [1] * n
-            later = [0] * n
-            for i in range(n - 1, 0, -1):
-                p = parent_pos[i]
-                later[i] = size[p] - 1
-                size[p] += size[i]
-            # parents first: a subtree's preorder range ends where its parent's
-            # range ends, less the ranges of its later siblings
-            end = later
-            end[0] = n
-            for i in range(1, n):
-                end[i] = end[parent_pos[i]] - end[i]
-            end_of_pos = np.array(end, dtype=np.int64)
-            slot_of_pos = end_of_pos - np.array(size, dtype=np.int64)
-            preorder = np.empty(n, dtype=np.int64)
-            preorder[slot_of_pos] = perm
-            last = np.empty(n, dtype=np.int64)
-            last[slot_of_pos] = end_of_pos - 1
-            slot = np.empty(n, dtype=np.int64)
-            slot[perm] = slot_of_pos
-            self._layout = (preorder, slot, last)
-        return self._layout
-
     def _lca_table(self) -> np.ndarray:
         """Sparse table of parent slots: row k, column i holds the smallest
         parent slot over the slots [i, min(i + 2^k, n)).  The root's entry is
         0; slot 0 never lies in a query range."""
         if self._table is None:
             n = self.n
-            preorder, slot, _ = self.preorder_layout()
             table = np.empty((max(1, (n - 1).bit_length()), n), dtype=np.int64)
-            table[0] = slot[self.parent[preorder]]
+            table[0] = self.up
             table[0, 0] = 0
             for k in range(1, len(table)):
                 half = 1 << (k - 1)
@@ -207,15 +197,14 @@ class SpanningTree:
         the shallowest vertex there is a child of the LCA, and the smallest
         parent slot there is the LCA's slot.
         """
-        preorder, slot, _ = self.preorder_layout()
         table = self._lca_table()
-        su, sv = slot[u], slot[v]
+        su, sv = self.slot[u], self.slot[v]
         lo = np.minimum(su, sv)
         hi = np.maximum(su, sv)
         first = np.minimum(lo + 1, hi)      # query slots [first, hi]
         k = np.frexp(hi - first + 1)[1] - 1     # floor(log2(range length))
         best = np.minimum(table[k, first], table[k, hi + 1 - (1 << k)])
-        out = preorder[np.where(lo == hi, lo, best)]
+        out = self.order[np.where(lo == hi, lo, best)]
         return int(out) if out.ndim == 0 else out
 
 

@@ -8,9 +8,9 @@ its root path (the root sits at 0, and the result is centred at the end).
 This is leaf elimination read off directly: eliminating leaves first makes
 every pivot equal to its parent-edge weight.
 
-``factor`` takes the DFS-preorder layout that ``SpanningTree.preorder_layout``
-builds and caches, in which every subtree is a contiguous range of slots.  A
-solve is then two halves of a few whole-array calls each, both O(n) with no
+``factor`` takes the DFS-preorder layout that ``SpanningTree.__init__``
+builds, in which every subtree is a contiguous range of slots.  A solve is
+then two halves of a few whole-array calls each, both O(n) with no
 per-vertex Python code: ``subtree_sums`` (R^T) takes subtree sums as
 differences of one prefix sum, and ``root_path_sums`` (R) takes root-path sums
 as one more prefix sum of the drops, from which each drop is taken out again
@@ -35,16 +35,14 @@ class TreeFactorization:
     ``preorder`` lists the vertices in DFS preorder and ``slot`` maps a vertex
     to its place in it; the subtree at slot p is ``preorder[p : last[p] + 1]``,
     ``up[p]`` is the slot of the parent of slot p (-1 at the root), and
-    ``weight[p]`` is the weight of the edge between them.  ``perm`` is the
-    tree's BFS order (root first).
+    ``weight[p]`` is the weight of the edge between them.
     """
 
-    __slots__ = ("n", "root", "perm", "preorder", "slot", "last", "up", "weight")
+    __slots__ = ("n", "root", "preorder", "slot", "last", "up", "weight")
 
-    def __init__(self, n, root, perm, preorder, slot, last, up, weight):
+    def __init__(self, n, root, preorder, slot, last, up, weight):
         self.n = n
         self.root = root
-        self.perm = perm
         self.preorder = preorder
         self.slot = slot
         self.last = last
@@ -53,33 +51,30 @@ class TreeFactorization:
 
     @property
     def elimination_order(self) -> list:
-        """Non-root vertices, children before parents (reverse BFS order)."""
-        return self.perm[:0:-1].tolist()
+        """Non-root vertices, children before parents (reverse preorder)."""
+        return self.preorder[:0:-1].tolist()
 
     @property
     def pivot(self) -> list:
-        """Leaf-elimination pivots by BFS position: the parent-edge weights,
-        with 0 at the root."""
-        pivot = self.weight[self.slot[self.perm]]
+        """Leaf-elimination pivots by slot: the parent-edge weights, with 0
+        at the root."""
+        pivot = self.weight.copy()
         pivot[0] = 0.0
         return pivot.tolist()
 
 
 def factor(t: SpanningTree) -> TreeFactorization:
-    """The tree's DFS-preorder layout, set up for flow-and-potential solves;
-    O(n)."""
-    preorder, slot, last = t.preorder_layout()
-    up = slot[t.parent[preorder]]
-    up[0] = -1
+    """The tree's DFS-preorder layout, set up for flow-and-potential solves:
+    it shares the tree's arrays and adds the parent-edge weights in slot
+    order; O(n)."""
     return TreeFactorization(
         n=t.n,
         root=t.root,
-        perm=t.order,
-        preorder=preorder,
-        slot=slot,
-        last=last,
-        up=up,
-        weight=t.parent_weight[preorder],
+        preorder=t.order,
+        slot=t.slot,
+        last=t.last,
+        up=t.up,
+        weight=t.parent_weight[t.order],
     )
 
 

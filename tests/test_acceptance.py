@@ -217,11 +217,11 @@ def _bench_tree(kind, n, rng):
 
 
 def _timed_factor_solve(t, b):
-    # the tree caches its DFS-preorder layout on first use; drop it, so that
-    # every timing includes the O(n) layout passes that factor stands on
-    t._layout = None
+    # the tree builds its DFS-preorder layout in __init__; build the tree
+    # afresh, so that every timing includes the O(n) traversal and passes
+    # that factor stands on
     t0 = time.perf_counter()
-    f = factor(t)
+    f = factor(SpanningTree(t.parent, t.parent_weight, root=t.root))
     pseudo_solve(f, b)
     dt = time.perf_counter() - t0
     del f  # keep deallocation of the big work arrays outside every timing

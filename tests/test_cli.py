@@ -347,6 +347,11 @@ class TestGenAndStretch:
     def test_stretch_requires_one_source(self):
         assert main(["stretch"]) == 2
 
+    @pytest.mark.parametrize("command", ["stretch", "verify", "scaling"])
+    def test_single_vertex_spec_rejected(self, command, tmp_path, capsys):
+        assert main([command, "--gen", "grid:1x1:unit", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestConfigPrecedence:
     def test_config_then_cli_override(self, tmp_path):

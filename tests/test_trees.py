@@ -523,8 +523,8 @@ class TestSpanningTreeStructure:
 
 
 def reference_tree_arrays(parent, parent_weight, root):
-    """The per-vertex checks and BFS SpanningTree.__init__ used to run on
-    numpy scalars: the TreeError message, or (order, depth, prefix)."""
+    """The per-vertex checks and a stack DFS, children ascending, on numpy
+    scalars: the TreeError message, or (order, slot, last, up, depth, prefix)."""
     parent = np.asarray(parent, dtype=np.int64)
     parent_weight = np.asarray(parent_weight, dtype=np.float64)
     n = len(parent)
@@ -541,21 +541,31 @@ def reference_tree_arrays(parent, parent_weight, root):
             return f"edge ({u}, {p}) has nonpositive weight"
         children[p].append(u)
     order = np.empty(n, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
+    last = np.empty(n, dtype=np.int64)
+    up = np.full(n, -1, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
     prefix = np.zeros(n)
-    order[0] = root
-    head, tail = 0, 1
-    while head < tail:
-        u = order[head]
-        head += 1
-        for c in children[u]:
+    stack = [root]
+    k = 0
+    while stack:
+        u = stack.pop()
+        order[k] = u
+        slot[u] = k
+        k += 1
+        for c in reversed(children[u]):
             depth[c] = depth[u] + 1
             prefix[c] = prefix[u] + 1.0 / parent_weight[c]
-            order[tail] = c
-            tail += 1
-    if tail != n:
+            stack.append(c)
+    if k != n:
         return "parent links do not reach every vertex from the root"
-    return order, depth, prefix
+    for k in range(n - 1, -1, -1):  # a subtree ends where its last child's ends
+        u = order[k]
+        kids = children[u]
+        last[k] = last[slot[kids[-1]]] if kids else k
+        if u != root:
+            up[k] = slot[parent[u]]
+    return order, slot, last, up, depth, prefix
 
 
 def relabelled(t, rng):
@@ -571,13 +581,16 @@ def relabelled(t, rng):
 
 class TestSpanningTreeInit:
     @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
-    def test_arrays_equal_to_scalar_bfs(self, kind, rng):
+    def test_arrays_equal_to_scalar_dfs(self, kind, rng):
         for n in (1, 2, 3, 257, 1 << 17):
             t = deep_tree(kind, n, rng, 2) if n > 1 else random_tree(1, rng)
             for parent, weight, root in ((t.parent, t.parent_weight, 0), relabelled(t, rng)):
                 got = SpanningTree(parent, weight, root=root)
-                order, depth, prefix = reference_tree_arrays(parent, weight, root)
+                order, slot, last, up, depth, prefix = reference_tree_arrays(parent, weight, root)
                 assert np.array_equal(got.order, order)
+                assert np.array_equal(got.slot, slot)
+                assert np.array_equal(got.last, last)
+                assert np.array_equal(got.up, up)
                 assert np.array_equal(got.depth, depth)
                 assert np.array_equal(got.resistance_prefix, prefix)
 
@@ -621,7 +634,7 @@ def reference_orientation(n, edges, root):
 
 class TestSetupMemory:
     # bytes per vertex plus edge; the peaks measured were 54-69 for the
-    # graph, 162-231 for maxw and 130-195 for from_edges, most of the last
+    # graph, 141-199 for maxw and 109-163 for from_edges, most of the last
     # two the flat lists of SpanningTree.__init__
     PER_ITEM = 400
 
