@@ -55,7 +55,8 @@ class WeightedGraph:
             raise GraphError(f"edge ({ui}, {vi}) has nonpositive weight {float(w[i])}")
         a = np.minimum(u, v).astype(np.int64)
         b = np.maximum(u, v).astype(np.int64)
-        idx = np.lexsort((b, a))
+        del u, v        # so that the sort's key and index do not raise the build's peak
+        idx = pair_order(n, a, b)
         a, b = a[idx], b[idx]
         dup = np.flatnonzero((a[1:] == a[:-1]) & (b[1:] == b[:-1]))
         if len(dup):
@@ -80,6 +81,33 @@ class WeightedGraph:
 
 def is_connected(g: WeightedGraph) -> bool:
     return g._connected
+
+
+# Sorts by one int64 key: on keys in no particular order, numpy's default
+# argsort of an int64 array is several times faster than its stable sort
+# (timsort) or a multi-key lexsort.
+
+
+def pair_order(n: int, a, b) -> np.ndarray:
+    """Indices that sort the pairs (a[i], b[i]) of ids in 0..n-1 by (a, b);
+    equal pairs come out in no fixed order.  One argsort of the key
+    a * n + b, which is below n * n and so exact in int64 while
+    n * n < 2**63; past that, a two-key lexsort."""
+    n = int(n)
+    if n * n >= 2**63:
+        return np.lexsort((b, a))
+    return np.argsort(a * n + b)
+
+
+def stable_order(key, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for int64 keys in 0..bound-1.  One
+    argsort of the unique key key * k + position (k = len(key)), which is
+    below bound * k and so exact in int64 while bound * k < 2**63; past
+    that, the stable sort itself."""
+    k = len(key)
+    if int(bound) * k >= 2**63:
+        return np.argsort(key, kind="stable")
+    return np.argsort(key * k + np.arange(k))
 
 
 def components(n: int, u, v) -> np.ndarray:
@@ -296,6 +324,7 @@ def read_edge_list(path) -> WeightedGraph:
         edges = np.column_stack((rec["u"], rec["v"], rec["w"]))
     else:
         edges = _parse_edge_lines(path, text)
+    del text, rec       # the file's text and records need not outlive the graph build
     max_id = int(edges[:, :2].max()) if len(edges) else -1
     if max_id < 0:
         raise GraphError(f"{path}: no edges")

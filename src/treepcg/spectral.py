@@ -4,9 +4,10 @@ Grounded at the tree's root, L_T^{-1} = R W^{-1} R^T: R[u, c] = 1 iff the
 non-root vertex c is u or an ancestor of u, and W holds the parent-edge
 weights.  The nonzero generalized eigenvalues of (L_G, L_T) are then those of
 F^T L_G F with F = R W^{-1/2}, one eigensolve with no pseudo-inverse.  F comes
-from parent links alone, independent of the LCA path sums behind the stretch
-report.  Everything here is O(n^3) and capped; it certifies claims, it does
-not scale.
+from the tree's DFS-preorder layout (each subtree a range of slots) and its
+parent-edge weights, independent of the LCA sparse table and root prefix sums
+behind the stretch report.  Everything here is O(n^3) and capped; it
+certifies claims, it does not scale.
 """
 from __future__ import annotations
 
@@ -54,13 +55,15 @@ def dense_tree_laplacian(t: SpanningTree) -> np.ndarray:
 
 def _tree_path_factor(t: SpanningTree) -> np.ndarray:
     """F = R[:, non-root] / sqrt(parent weights), so F F^T is L_T^{-1} grounded
-    at the root; each row copies its parent's row, parents first, in
-    ``t.order``."""
-    R = np.zeros((t.n, t.n))
-    for u in t.order[1:].tolist():
-        R[u] = R[t.parent[u]]
-        R[u, u] = 1.0
-    return np.delete(R, t.root, axis=1) / np.sqrt(np.delete(t.parent_weight, t.root))
+    at the root.  u lies in the subtree of c iff slot[c] <= slot[u] <=
+    last[slot[c]], so R is two broadcast comparisons, made in F's own
+    buffer."""
+    c = np.flatnonzero(np.arange(t.n) != t.root)
+    s = t.slot[:, None]
+    F = np.less_equal(t.slot[c], s, out=np.empty((t.n, len(c))))
+    F *= s <= t.last[t.slot[c]]
+    F /= np.sqrt(t.parent_weight[c])
+    return F
 
 
 def generalized_spectrum(

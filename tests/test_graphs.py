@@ -20,7 +20,7 @@ from treepcg import (
     write_vector,
 )
 from treepcg import graphs
-from treepcg.graphs import _giant_component, components
+from treepcg.graphs import _giant_component, components, pair_order, stable_order
 
 from conftest import search
 
@@ -135,6 +135,64 @@ class TestValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(GraphError, match="triples"):
             WeightedGraph(3, [(0, 1), (1, 2)])
+
+
+def lexsort_canonical(n, edges):
+    """WeightedGraph's sort as a two-key lexsort did it before the one-key
+    argsort: the canonical (u, v, w) arrays, or the duplicate-edge message."""
+    e = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+    a = np.minimum(e[:, 0], e[:, 1]).astype(np.int64)
+    b = np.maximum(e[:, 0], e[:, 1]).astype(np.int64)
+    idx = np.lexsort((b, a))
+    a, b = a[idx], b[idx]
+    dup = np.flatnonzero((a[1:] == a[:-1]) & (b[1:] == b[:-1]))
+    if len(dup):
+        return f"duplicate edge ({a[dup[0]]}, {b[dup[0]]})"
+    return a, b, e[idx, 2]
+
+
+class TestSortKey:
+    def shuffled_edges(self, rng, n, m):
+        """m distinct random pairs on 0..n-1 in random order and orientation."""
+        k = rng.choice(n * (n - 1) // 2, m, replace=False)
+        iu, iv = np.triu_indices(n, k=1)
+        u, v = iu[k], iv[k]
+        flip = rng.random(m) < 0.5
+        return np.column_stack((np.where(flip, v, u), np.where(flip, u, v), rng.uniform(0.1, 10.0, m)))
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (30, 60), (400, 3000), (3000, 20000)])
+    def test_equal_to_lexsort_on_shuffled_inputs(self, rng, n, m):
+        for _ in range(3):
+            edges = self.shuffled_edges(rng, n, m)
+            g = WeightedGraph(n, edges)
+            a, b, w = lexsort_canonical(n, edges)
+            assert g.edge_u.tolist() == a.tolist() and g.edge_v.tolist() == b.tolist()
+            assert g.edge_w.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n, m", [(30, 60), (400, 3000)])
+    def test_duplicate_message_equal_to_lexsort(self, rng, n, m):
+        for copies in (1, 2, 5):
+            edges = self.shuffled_edges(rng, n, m)
+            extra = edges[rng.choice(m, copies)]
+            extra[:, :2] = extra[:, 1::-1]          # the other orientation
+            extra[:, 2] += 1.0
+            edges = np.concatenate((edges, extra))[rng.permutation(m + copies)]
+            want = lexsort_canonical(n, edges)
+            assert want.startswith("duplicate edge")
+            with pytest.raises(GraphError) as exc:
+                WeightedGraph(n, edges)
+            assert str(exc.value) == want
+
+    def test_orders_past_the_int64_key(self, rng):
+        # keys that would not fit in int64 take the two-key lexsort and the
+        # stable sort, which order distinct pairs and all keys alike
+        pairs = np.unique(rng.integers(0, 50, (300, 2)), axis=0)
+        a, b = pairs[rng.permutation(len(pairs))].T
+        key = rng.integers(0, 7, 500)
+        for n in (50, 2**31, 2**32):
+            assert np.array_equal(pair_order(n, a, b), np.lexsort((b, a)))
+        for bound in (7, 2**50, 2**62):
+            assert np.array_equal(stable_order(key, bound), np.argsort(key, kind="stable"))
 
 
 def reference_giant(n, u, v):
@@ -532,6 +590,9 @@ EDGE_LIST_TEXTS = {
     "empty": "",
     "whitespace only": " \n\t\n",
     "comments only": "# nothing\n",
+    # n = 4e9 + 1: n * n overflows int64, so the graph build sorts by a
+    # lexsort and fails in components, which cannot allocate 32 GB
+    "4e9 id": "0 4000000000 1.0\n",
 }
 
 

@@ -567,9 +567,9 @@ class TestBlockReorthogonalization:
                 tracemalloc.stop()
         kept_rows = out.iterations + 1
         row = 8 * g.n
-        # two buffers of fewer than 2 * kept_rows rows each (doubling), the
-        # old copy of one while it grows (fewer than kept_rows rows), and a
-        # few dozen vectors of length n
+        # one buffer of fewer than 2 * kept_rows rows (doubling), its old
+        # copy while it grows (fewer than kept_rows rows), and a few dozen
+        # vectors of length n
         assert max(peaks) <= (5 * kept_rows + 64) * row
         assert max(peaks) <= 2 * (4 * g.n + 1) * row / 5
         assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]

@@ -23,6 +23,16 @@ from treepcg.trees import path_resistance
 from conftest import deep_tree, random_tree, root_path
 
 
+def row_copy_path_factor(t):
+    """_tree_path_factor as a per-row loop built it: each row copies its
+    parent's row, parents first, and sets its own column."""
+    R = np.zeros((t.n, t.n))
+    for u in t.order[1:].tolist():
+        R[u] = R[t.parent[u]]
+        R[u, u] = 1.0
+    return np.delete(R, t.root, axis=1) / np.sqrt(np.delete(t.parent_weight, t.root))
+
+
 def triangle_setup():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     t = SpanningTree.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -152,6 +162,23 @@ class TestTreePathFactor:
             # eigenvalue; the factor route may not be less accurate than it
             assert new_err <= 1e-9
             assert new_err <= np.max(np.abs(pinv - walk) / walk)
+
+    @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
+                                      "regular:n=400,d=4:unit"])
+    def test_factor_equal_to_row_copy_loop(self, rng, spec):
+        for seed in (0, 1, 2):
+            g = generate(spec, seed)
+            for t in (max_weight_spanning_tree(g), low_stretch_heuristic_tree(g, seed)):
+                assert np.array_equal(_tree_path_factor(t), row_copy_path_factor(t))
+        for kind in ("path", "star", "random", "broom"):
+            t = deep_tree(kind, 60, rng, 4)
+            perm = rng.permutation(t.n)       # relabelled, rooted elsewhere than 0
+            parent = np.full(t.n, -1)
+            parent[perm[1:]] = perm[t.parent[1:]]
+            weight = np.empty(t.n)
+            weight[perm] = t.parent_weight
+            r = SpanningTree(parent, weight, root=int(perm[0]))
+            assert np.array_equal(_tree_path_factor(r), row_copy_path_factor(r))
 
     def test_factor_inverts_grounded_tree_laplacian(self, rng):
         for kind in ("path", "star", "random", "broom"):

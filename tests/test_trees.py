@@ -19,7 +19,9 @@ from treepcg import (
     stretch_report,
     tree_spans,
 )
+from treepcg import graphs, trees
 from treepcg.graphs import _grid_edges
+from treepcg.trees import StretchReport
 
 from conftest import deep_tree, lca_naive, random_tree, root_path, search
 
@@ -266,6 +268,82 @@ class TestHeuristicTreeArrays:
     def test_single_vertex(self):
         t = low_stretch_heuristic_tree(WeightedGraph(1, []), 0)
         assert t.parent.tolist() == [-1] and t.edges == []
+
+
+def lexsort_contract(u, v, w, eid, cluster, k):
+    """The contraction as a three-key lexsort did it before the pair key and
+    the segmented maximum: key (pair, -w, edge order), first of each pair."""
+    cu, cv = cluster[u], cluster[v]
+    keep = cu != cv
+    lo = np.minimum(cu, cv)[keep]
+    hi = np.maximum(cu, cv)[keep]
+    w, eid = w[keep], eid[keep]
+    idx = np.lexsort((-w, hi, lo))
+    lo, hi = lo[idx], hi[idx]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    idx = idx[first]
+    return lo[first], hi[first], w[idx], eid[idx]
+
+
+def format_csv(rep):
+    """The stretch CSV as ``str.format`` over the rows built it, header and
+    body in one string."""
+    rows = map("{},{},{!r},{!r}\r\n".format,
+               rep.edge_u.tolist(), rep.edge_v.tolist(), rep.edge_w.tolist(), rep.values.tolist())
+    return ("u,v,w,stretch\r\n" + "".join(rows)).encode()
+
+
+class TestSortKeys:
+    # unit weights tie on every edge, so edge order decides every tie
+    SPECS = ["grid:14x11:unit", "gnp:n=300,p=0.015:unit", "regular:n=300,d=4:unit",
+             "grid:14x11:logw", "regular:n=300,d=3:logw"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_akpw_rounds_equal_lexsort_rounds(self, monkeypatch, spec, seed):
+        calls = {"order": 0, "contract": 0}
+
+        def order(key, bound):
+            got = graphs.stable_order(key, bound)
+            assert np.array_equal(got, np.argsort(key, kind="stable"))
+            calls["order"] += 1
+            return got
+
+        def contract(*args):
+            got = real_contract(*args)
+            for a, b in zip(got, lexsort_contract(*args), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            calls["contract"] += 1
+            return got
+
+        real_contract = trees._contract
+        monkeypatch.setattr(trees, "stable_order", order)
+        monkeypatch.setattr(trees, "_contract", contract)
+        g = generate(spec, seed)
+        low_stretch_heuristic_tree(g, seed)
+        # one adjacency sort and one contraction per round
+        assert calls["contract"] >= 2 and calls["order"] == 2 * calls["contract"]
+
+    @pytest.mark.parametrize("spec", ["grid:15x20", "gnp:n=300,p=0.02", "regular:n=300,d=4"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_maxw_order_equals_lexsort(self, spec, seed):
+        # the trees themselves: TestMaxWeightTree::test_equal_to_union_find_kruskal
+        g = generate(f"{spec}:unit", seed)
+        assert np.array_equal(np.argsort(-g.edge_w, kind="stable"),
+                              np.lexsort((g.edge_v, g.edge_u, -g.edge_w)))
+
+    def test_csv_bytes_equal_format_rows(self, tmp_path):
+        # values where repr switches between fixed and exponent form
+        values = np.array([1e16, 1e-05, 5e-324, 2.0, 0.1, 1e15, 0.0001, 123456789.0])
+        k = len(values)
+        rep = StretchReport(np.arange(k), np.arange(1, k + 1), values[::-1].copy(), values, float(values.sum()))
+        rep.write_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == format_csv(rep)
+        g = generate("gnp:n=200,p=0.05:logw", seed=0)
+        rep = stretch_report(g, low_stretch_heuristic_tree(g, seed=0))
+        rep.write_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == format_csv(rep)
 
 
 class TestPathResistance:
