@@ -260,9 +260,12 @@ def _read_config(path) -> dict:
 
 def _parse_seeds(text) -> list:
     try:
-        return [int(s) for s in str(text).split(",") if s != ""]
+        seeds = [int(s) for s in str(text).split(",") if s != ""]
     except ValueError as exc:
         raise CliError(f"bad seeds list {text!r}") from exc
+    if any(s < 0 for s in seeds):
+        raise CliError(f"bad seeds list {text!r}: seeds must be nonnegative")
+    return seeds
 
 
 _DEFAULTS = {

@@ -10,8 +10,11 @@ back brute-force verification.
 """
 from __future__ import annotations
 
+import random
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -259,22 +262,78 @@ def _giant_component(n: int, u, v):
 
 
 def _regular_edges(n: int, d: int, seed: int):
-    import networkx as nx
-
+    """A connected d-regular graph: the first of ``_random_regular`` with
+    seeds seed * 1000 + attempt, attempt = 0, 1, ..., that is connected."""
     if (n * d) % 2 != 0 or d >= n or d < 1:
         raise GraphError(f"impossible regular graph parameters n={n}, d={d}")
     for attempt in range(100):
-        G = nx.random_regular_graph(d, n, seed=seed * 1000 + attempt)
-        u, v = np.array(list(G.edges()), dtype=np.int64).reshape(-1, 2).T
+        u, v = _random_regular(n, d, seed * 1000 + attempt)
         if not components(n, u, v).any():
             return n, u, v
     raise GraphError(f"could not generate a connected {d}-regular graph on {n} vertices")
+
+
+def _random_regular(n: int, d: int, seed: int):
+    """The edges of networkx's ``random_regular_graph(d, n, seed)``, in the
+    order of its ``G.edges()``: the set that the stub pairing built, in
+    iteration order, stably sorted by the smaller endpoint.  The order
+    decides which weight each edge gets."""
+    rng = random.Random(seed)
+    edges = None
+    while edges is None:
+        edges = _pair_stubs(n, d, rng)
+    uv = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)).reshape(-1, 2)
+    return uv[stable_order(uv[:, 0], n)].T
+
+
+def _pair_stubs(n: int, d: int, rng: random.Random):
+    """One try of Steger and Wormald's stub pairing (1999), line for line as
+    networkx's ``_try_creation``, so that a seed gives the same set built in
+    the same order: the set of (min, max) edges, or None when the leftover
+    stubs can no longer be paired."""
+    edges = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        potential_edges = defaultdict(int)
+        rng.shuffle(stubs)
+        stubiter = iter(stubs)
+        for s1, s2 in zip(stubiter, stubiter):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                potential_edges[s1] += 1
+                potential_edges[s2] += 1
+        if not _suitable(edges, potential_edges):
+            return None
+        stubs = [node for node, potential in potential_edges.items() for _ in range(potential)]
+    return edges
+
+
+def _suitable(edges, potential_edges) -> bool:
+    """Whether two leftover stubs could still form a new edge; networkx's
+    test, kept as it is (the swap also changes ``s1`` for the rest of the
+    inner loop) so that it fails exactly when networkx's does."""
+    if not potential_edges:
+        return True
+    for s1 in potential_edges:
+        for s2 in potential_edges:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
 
 
 def generate(spec, seed: int) -> WeightedGraph:
     """Deterministic graph generation; output is always connected."""
     if isinstance(spec, str):
         spec = parse_generator_spec(spec)
+    if seed < 0:
+        raise GraphError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng([int(seed), 0x5EED])
     if spec.kind == "grid":
         n, u, v = _grid_edges(spec.params["rows"], spec.params["cols"])

@@ -236,6 +236,8 @@ def tree_spans(g: WeightedGraph, t: SpanningTree) -> bool:
 # ---------------------------------------------------------------------------
 # stretch
 
+_CSV_BLOCK = 4096     # rows formatted at a time by StretchReport.write_csv
+
 
 @dataclass
 class StretchReport:
@@ -270,12 +272,15 @@ class StretchReport:
         }
 
     def write_csv(self, path) -> None:
-        """The rows ``csv.writer`` would write: u, v, repr(w), repr(stretch)."""
-        rows = [f"{u},{v},{w!r},{s!r}\r\n" for u, v, w, s in zip(
-            self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist(), self.values.tolist())]
+        """The rows ``csv.writer`` would write: u, v, repr(w), repr(stretch).
+        Formatted and written _CSV_BLOCK rows at a time, so that the Python
+        numbers and strings of only one block are alive at once."""
+        cols = (self.edge_u, self.edge_v, self.edge_w, self.values)
         with open(path, "w", newline="") as fh:
             fh.write("u,v,w,stretch\r\n")
-            fh.write("".join(rows))
+            for i in range(0, len(self.values), _CSV_BLOCK):
+                block = (c[i:i + _CSV_BLOCK].tolist() for c in cols)
+                fh.write("".join([f"{u},{v},{w!r},{s!r}\r\n" for u, v, w, s in zip(*block)]))
 
     def write_json_summary(self, path) -> None:
         with open(path, "w") as fh:

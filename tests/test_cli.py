@@ -304,6 +304,9 @@ class TestGenAndStretch:
         # a giant component of 206 of 300 vertices: pins the relabelling
         ("gnp:n=300,p=0.006:logw", "7e468e24dd6bda06c8dcb8949d69f4a13bd89ec5eb7c0fab6701990b5b6bdb02"),
         ("regular:n=200,d=3:unit", "03b1d5245ed48d1b36c13914cc94ac8c45c9d9f1144ada53b9184d515c7d5591"),
+        # logw: pins which weight each regular edge gets, so the edge order
+        # of the stub pairing; recorded when networkx drew regular graphs
+        ("regular:n=200,d=3:logw", "26d976fdeb1b9bcdaf94903408cccb92bf63f553450694121d942ea4d1666d59"),
     ])
     def test_gen_bytes_pinned(self, tmp_path, spec, digest):
         # sha256 recorded at the commit before graphs were built from arrays
@@ -346,6 +349,15 @@ class TestGenAndStretch:
 
     def test_stretch_requires_one_source(self):
         assert main(["stretch"]) == 2
+
+    @pytest.mark.parametrize("command", ["gen", "stretch", "verify", "scaling"])
+    @pytest.mark.parametrize("seeds", ["-1", "0,-3"])
+    def test_negative_seed_rejected(self, command, seeds, tmp_path, capsys):
+        # "verify" exits 1 only when a check fails; bad input is exit 2
+        assert main([command, "--gen", "grid:4x4:unit", "--seeds", seeds,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad seeds list")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["stretch", "verify", "scaling"])
     def test_single_vertex_spec_rejected(self, command, tmp_path, capsys):
@@ -391,3 +403,15 @@ class TestImports:
                 "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "0 []"
+
+    def test_generators_load_no_networkx(self, tmp_path):
+        # regular graphs come from the package's own stub pairing:
+        # importing networkx would add 16 MB of resident memory
+        src = str(Path(treepcg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from treepcg import generate; from treepcg.cli import ExperimentSpec, run_verify; "
+                "[generate(s, 1) for s in ('grid:5x4:logw', 'gnp:n=60,p=0.1:logw', 'regular:n=60,d=3:logw')]; "
+                "r = run_verify(ExperimentSpec(generator='regular:n=40,d=4:unit', tree_method='akpw')); "
+                "print(r['failures'], 'networkx' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0 False"

@@ -2,7 +2,6 @@ import math
 import tracemalloc
 import warnings
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -198,6 +197,7 @@ class TestSortKey:
 def reference_giant(n, u, v):
     """Largest component by networkx, ties to the smallest vertex, relabelled
     in increasing id, edges in input order."""
+    nx = pytest.importorskip("networkx")
     G = nx.Graph()
     G.add_nodes_from(range(n))
     G.add_edges_from(zip(u.tolist(), v.tolist()))
@@ -226,6 +226,7 @@ def union_of_components(rng, sizes):
 
 def nx_labels(n, u, v):
     """Each vertex's smallest component-mate, by networkx."""
+    nx = pytest.importorskip("networkx")
     G = nx.Graph()
     G.add_nodes_from(range(n))
     G.add_edges_from(zip(u.tolist(), v.tolist()))
@@ -242,6 +243,7 @@ class TestSearch:
     @pytest.mark.parametrize("sizes", [[1], [5], [3, 3], [4, 1, 4, 2], [1, 1, 1], [7, 7, 7, 2],
                                        [30, 12, 30, 1, 1, 5], [200]])
     def test_components_match_networkx(self, rng, sizes):
+        nx = pytest.importorskip("networkx")
         for _ in range(5):
             n, u, v = union_of_components(rng, sizes)
             G, want = nx_labels(n, u, v)
@@ -445,6 +447,11 @@ class TestGenerate:
         with pytest.raises(GraphError, match="impossible"):
             generate("regular:n=5,d=3:unit", seed=0)
 
+    @pytest.mark.parametrize("spec", ["grid:3x3:unit", "gnp:n=20,p=0.3:unit", "regular:n=10,d=3:logw"])
+    def test_negative_seed_rejected(self, spec):
+        with pytest.raises(GraphError, match="seed must be nonnegative"):
+            generate(spec, seed=-1)
+
     def test_logw_weight_range(self):
         g = generate("grid:6x6:logw", seed=3)
         assert g.edge_w.min() >= 0.1 and g.edge_w.max() <= 10.0
@@ -458,6 +465,50 @@ class TestGenerate:
             parse_generator_spec("torus:3x3:unit")
         with pytest.raises(GraphError, match="gnp"):
             parse_generator_spec("gnp:n=10:unit")
+
+
+def regular_cases():
+    """(n, d, seed) for d in 1..4 and n - 1 where n * d is even; d = n - 1
+    only while the complete graph is small."""
+    for n in (5, 6, 7, 8, 11, 16, 40, 101, 400, 3600):
+        for d in sorted({1, 2, 3, 4} | ({n - 1} if n <= 101 else set())):
+            if (n * d) % 2 == 0 and d < n:
+                for seed in range(12 if n <= 40 else 3):
+                    yield n, d, seed
+
+
+class TestRegularPort:
+    """The stub pairing against networkx's ``random_regular_graph``, which
+    drew every regular graph before the port and stays the reference."""
+
+    def test_edges_equal_to_networkx(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        failed_tries = []
+        pair_stubs = graphs._pair_stubs
+
+        def counted(n, d, rng):
+            edges = pair_stubs(n, d, rng)
+            failed_tries.append(edges is None)
+            return edges
+
+        monkeypatch.setattr(graphs, "_pair_stubs", counted)
+        for n, d, seed in regular_cases():
+            u, v = graphs._random_regular(n, d, seed)
+            want = list(nx.random_regular_graph(d, n, seed=seed).edges())
+            assert list(zip(u.tolist(), v.tolist())) == want, (n, d, seed)
+        assert sum(failed_tries) >= 20      # the grid takes the retry path
+
+    # 2-regular draws are often cycles that miss vertices: the first three
+    # cases are connected only at attempts 5, 7 and 11
+    @pytest.mark.parametrize("n, d, seed", [(16, 2, 0), (40, 2, 4), (30, 2, 5), (101, 4, 2), (400, 4, 1), (3600, 3, 0)])
+    def test_connected_draw_equal_to_networkx(self, n, d, seed):
+        nx = pytest.importorskip("networkx")
+        for attempt in range(100):
+            G = nx.random_regular_graph(d, n, seed=seed * 1000 + attempt)
+            if nx.is_connected(G):
+                break
+        _, u, v = graphs._regular_edges(n, d, seed)
+        assert list(zip(u.tolist(), v.tolist())) == list(G.edges())
 
 
 class TestEdgeListIO:

@@ -449,6 +449,22 @@ class TestStretchReport:
         rep.write_csv(tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == ref.getvalue().encode()
 
+    def test_csv_writer_memory_is_one_block(self, tmp_path):
+        # all rows at once peaked at 15 MB for 60,000 edges; one block of
+        # 4096 rows peaks near 1 MB
+        m = 60_000
+        rng = np.random.default_rng(0)
+        u = np.sort(rng.integers(0, 30_000, m))
+        rep = StretchReport(u, u + 1, 10.0 ** rng.uniform(-1.0, 1.0, m), rng.uniform(1.0, 300.0, m), 0.0)
+        tracemalloc.start()
+        try:
+            rep.write_csv(tmp_path / "s.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000, peak
+        assert len((tmp_path / "s.csv").read_bytes().split(b"\r\n")) == m + 2
+
     def test_single_vertex(self, tmp_path):
         g = WeightedGraph(1, [])
         rep = stretch_report(g, SpanningTree([-1], [0.0]))
