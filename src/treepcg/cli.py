@@ -28,7 +28,7 @@ from .graphs import (
     write_edge_list,
     write_vector,
 )
-from .pcg import PcgConfig, exact_spectrum_bound, pcg_solve, stretch_only_bound, _snapped_root
+from .pcg import PcgConfig, PcgError, exact_spectrum_bound, pcg_solve, stretch_only_bound, _snapped_root
 from .spectral import generalized_spectrum, tail_count
 from .treesolver import factor
 from .trees import TreeError, low_stretch_heuristic_tree, max_weight_spanning_tree, stretch_report
@@ -263,6 +263,8 @@ def _parse_seeds(text) -> list:
         seeds = [int(s) for s in str(text).split(",") if s != ""]
     except ValueError as exc:
         raise CliError(f"bad seeds list {text!r}") from exc
+    if not seeds:
+        raise CliError(f"bad seeds list {text!r}: at least one seed is required")
     if any(s < 0 for s in seeds):
         raise CliError(f"bad seeds list {text!r}: seeds must be nonnegative")
     return seeds
@@ -277,15 +279,17 @@ _DEFAULTS = {
 }
 
 
-def _resolve(args, key, cast=str):
-    value = getattr(args, key.replace("-", "_"), None)
+def _resolve(args, cfg, key, cast=str):
+    """The flag's value if given, else the config file's, else the default."""
+    value = getattr(args, key, None)
     if value is not None:
         return value
-    if args.config:
-        cfg = _read_config(args.config)
-        if key.replace("-", "_") in cfg:
-            return cast(cfg[key.replace("-", "_")])
-    return _DEFAULTS.get(key.replace("-", "_"))
+    if key in cfg:
+        try:
+            return cast(cfg[key])
+        except ValueError as exc:
+            raise CliError(f"{args.config}: bad value for {key}: {cfg[key]!r}") from exc
+    return _DEFAULTS.get(key)
 
 
 def _add_common(p):
@@ -334,17 +338,17 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        tree_method = _resolve(args, "tree")
-        epsilon = float(_resolve(args, "eps", float))
-        seeds = _parse_seeds(_resolve(args, "seeds"))
-        dense_cap = int(_resolve(args, "dense_cap", int))
+        cfg = _read_config(args.config) if args.config else {}
+        tree_method = _resolve(args, cfg, "tree")
+        epsilon = float(_resolve(args, cfg, "eps", float))
+        seeds = _parse_seeds(_resolve(args, cfg, "seeds"))
+        dense_cap = int(_resolve(args, cfg, "dense_cap", int))
         out = args.out
+        if out is None and args.command in ("gen", "solve"):
+            raise CliError(f"{args.command} requires --out")
 
         if args.command == "gen":
-            g = generate(args.gen, seeds[0])
-            if out is None:
-                raise CliError("gen requires --out")
-            write_edge_list(g, out)
+            write_edge_list(generate(args.gen, seeds[0]), out)
             return 0
 
         if args.command == "stretch":
@@ -359,14 +363,11 @@ def main(argv=None) -> int:
                 rep.write_csv(out + ".csv")
                 rep.write_json_summary(out + ".json")
             else:
-                json.dump(rep.summary(), sys.stdout, sort_keys=True, indent=2)
-                sys.stdout.write("\n")
+                _write_json(rep.summary(), None)
             return 0
 
         if args.command == "solve":
             x, sidecar = run_solve(args.graph, args.b_path, tree_method, epsilon, seeds[0])
-            if out is None:
-                raise CliError("solve requires --out")
             write_vector(x, out)
             _write_json(sidecar, out + ".json")
             return 0
@@ -377,7 +378,7 @@ def main(argv=None) -> int:
                 tree_method=tree_method,
                 epsilon=epsilon,
                 seeds=seeds,
-                checks=_resolve(args, "checks"),
+                checks=_resolve(args, cfg, "checks"),
                 dense_cap=dense_cap,
             )
             report = run_verify(spec)
@@ -385,13 +386,10 @@ def main(argv=None) -> int:
             return 1 if report["failures"] else 0
 
         if args.command == "scaling":
-            rows = run_scaling(args.gen, tree_method, epsilon, seeds)
-            if out:
-                write_scaling_csv(rows, out)
-            else:
-                write_scaling_csv(rows, "/dev/stdout")
+            write_scaling_csv(run_scaling(args.gen, tree_method, epsilon, seeds), out or "/dev/stdout")
             return 0
-    except (CliError, GraphError, TreeError, OSError) as exc:
+    # PcgError is bad input; PcgDivergenceError, a solver failure, is not caught
+    except (CliError, GraphError, TreeError, PcgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

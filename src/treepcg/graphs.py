@@ -204,16 +204,12 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
                 raise GraphError(f"malformed generator spec {text!r}: bad parameter {item!r}")
             k, v = item.split("=", 1)
             params[k.strip()] = v.strip()
-        if kind == "gnp":
-            try:
-                params = {"n": int(params["n"]), "p": float(params["p"])}
-            except (KeyError, ValueError) as exc:
-                raise GraphError(f"malformed generator spec {text!r}: gnp wants n=INT,p=FLOAT") from exc
-        else:
-            try:
-                params = {"n": int(params["n"]), "d": int(params["d"])}
-            except (KeyError, ValueError) as exc:
-                raise GraphError(f"malformed generator spec {text!r}: regular wants n=INT,d=INT") from exc
+        key, cast = ("p", float) if kind == "gnp" else ("d", int)
+        try:
+            params = {"n": int(params["n"]), key: cast(params[key])}
+        except (KeyError, ValueError) as exc:
+            want = f"n=INT,{key}={cast.__name__.upper()}"
+            raise GraphError(f"malformed generator spec {text!r}: {kind} wants {want}") from exc
     else:
         raise GraphError(f"malformed generator spec {text!r}: unknown kind {kind!r}")
     return GeneratorSpec(kind, params, weighting)

@@ -219,6 +219,8 @@ def pcg_solve(
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (g.n,):
         raise PcgError(f"right-hand side length {b.shape} does not match n={g.n}")
+    if not np.isfinite(b).all():
+        raise PcgError("right-hand side has nonfinite entries")
     if f.n != g.n:
         raise PcgError("factorization size does not match graph")
 

@@ -22,78 +22,88 @@ class TreeError(ValueError):
     """Invalid tree construction or graph/tree mismatch."""
 
 
-def _preorder(parent, root) -> np.ndarray:
-    """The vertices that parent links reach from the root, in DFS preorder,
-    children in ascending id; O(n) with one stack.  Lookups by vertex id land
-    at random places, so the children lists are int64 arrays, not lists: an
-    entry is 8 bytes in one place rather than a pointer to an int object."""
+def _check_root(root, n) -> None:
+    if not 0 <= root < n:
+        raise TreeError(f"root {root} is not a vertex: want 0 <= root < {n}")
+
+
+def _check_links(parent, parent_weight, root) -> None:
+    """Raise TreeError on the first vertex, by id, whose parent link or
+    parent-edge weight is bad."""
     n = len(parent)
-    # children in descending id, so that the stack pops them ascending; the
-    # root, whose parent is -1, sorts first.  Not stable_order: numpy's
-    # stable sort takes the runs of path- and star-like parent arrays in
-    # O(n) (2.4 against 8.7 ms for the one-key sort on a 2^18 path).
-    kids = n - 1 - np.argsort(parent[::-1], kind="stable")[1:]
-    ptr = array("q", np.concatenate(([0], np.cumsum(np.bincount(parent[kids], minlength=n)))).tobytes())
-    kids = array("q", kids.tobytes())
+    if parent[root] != -1:
+        raise TreeError(f"parent of root {root} must be -1")
+    nonroot = np.arange(n) != root
+    bad_parent = nonroot & ~((0 <= parent) & (parent < n))
+    bad = bad_parent | (nonroot & ~(parent_weight > 0.0))
+    if bad.any():
+        u = int(bad.argmax())       # the first bad vertex; a bad parent wins
+        if bad_parent[u]:
+            raise TreeError(f"vertex {u} has invalid parent {parent[u]}")
+        raise TreeError(f"edge ({u}, {parent[u]}) has nonpositive weight")
+
+
+def _preorder(nbr, count, root) -> np.ndarray:
+    """The vertices reachable from the root in DFS preorder, neighbours in
+    ascending id, by one stack; a vertex already reached is skipped when
+    popped.  Vertex x's neighbours are the next count[x] entries of nbr, in
+    descending id, so that the stack pops them ascending.  The lists are
+    int64 arrays, not lists: a lookup by vertex id lands at a random place,
+    and an entry is then 8 bytes in one place, not a pointer to an int."""
+    ptr = array("q", np.concatenate(([0], np.cumsum(count))).tobytes())
+    nbr = array("q", nbr.tobytes())
+    seen = bytearray(len(count))
     order = array("q")
     stack = array("q", [root])
+    pop, visit = stack.pop, order.append
     while stack:
-        x = stack.pop()
-        order.append(x)
-        stack += kids[ptr[x]:ptr[x + 1]]
+        x = pop()
+        if not seen[x]:
+            seen[x] = 1
+            visit(x)
+            stack += nbr[ptr[x]:ptr[x + 1]]
     return np.frombuffer(order, dtype=np.int64)
 
 
 class SpanningTree:
     """Rooted spanning tree with parent links and cached path-resistance data.
 
-    Immutable after construction.  ``__init__`` lays the vertices out in DFS
-    preorder, children in ascending id: ``order`` lists them, ``slot`` maps a
+    Immutable after construction.  Either constructor lays the vertices out in
+    DFS preorder, children in ascending id: ``order`` lists them, ``slot`` maps a
     vertex to its place in it, the subtree at slot p is
     ``order[p : last[p] + 1]``, and ``up[p]`` is the slot of the parent of
     slot p (-1 at the root).  The LCA table is built lazily on first use, so
     that solve-only workloads at large n never pay its O(n log n) cost.
     """
 
-    __slots__ = (
-        "n",
-        "root",
-        "parent",
-        "parent_weight",
-        "depth",
-        "order",
-        "slot",
-        "last",
-        "up",
-        "resistance_prefix",
-        "_table",
-    )
+    __slots__ = ("n", "root", "parent", "parent_weight", "depth", "order", "slot", "last", "up",
+                 "resistance_prefix", "_table")
 
     def __init__(self, parent, parent_weight, root: int = 0):
         parent = np.asarray(parent, dtype=np.int64)
         parent_weight = np.asarray(parent_weight, dtype=np.float64)
         n = len(parent)
-        if parent[root] != -1:
-            raise TreeError(f"parent of root {root} must be -1")
-        nonroot = np.arange(n) != root
-        bad_parent = nonroot & ~((0 <= parent) & (parent < n))
-        bad = bad_parent | (nonroot & ~(parent_weight > 0.0))
-        if bad.any():
-            u = int(bad.argmax())       # the first bad vertex; a bad parent wins
-            if bad_parent[u]:
-                raise TreeError(f"vertex {u} has invalid parent {parent[u]}")
-            raise TreeError(f"edge ({u}, {parent[u]}) has nonpositive weight")
-
-        order = _preorder(parent, root)
+        _check_root(root, n)
+        _check_links(parent, parent_weight, root)
+        # children in descending id; the root (parent -1) sorts first.  Not
+        # stable_order: numpy's stable sort takes the runs of path- and
+        # star-like parent arrays in O(n) (2.4 against 8.7 ms on a 2^18 path).
+        kids = n - 1 - np.argsort(parent[::-1], kind="stable")[1:]
+        order = _preorder(kids, np.bincount(parent[kids], minlength=n), root)
         if len(order) != n:
             raise TreeError("parent links do not reach every vertex from the root")
         slot = np.empty(n, dtype=np.int64)
         slot[order] = np.arange(n)
+        self._lay_out(parent, parent_weight, root, order, slot)
+
+    def _lay_out(self, parent, parent_weight, root, order, slot) -> None:
+        """Set every field from checked parent links, their DFS preorder and its inverse."""
+        n = len(parent)
         up = slot[parent[order]]
         up[0] = -1
         ups = up.tolist()
         # parents first, so each prefix is its parent's plus one term
-        inv = (1.0 / np.where(nonroot, parent_weight, 1.0))[order].tolist()
+        inv = (1.0 / np.where(parent >= 0, parent_weight, 1.0))[order].tolist()
         depth = [0] * n
         prefix = [0.0] * n
         for i in range(1, n):
@@ -125,44 +135,37 @@ class SpanningTree:
         They form a tree iff they connect all n vertices, and its orientation
         is unique: each edge's parent end is the one nearer the root.
 
-        Read off an Euler tour (Tarjan-Vishkin).  Edge i has darts 2i (u to v)
-        and 2i+1 (v to u).  A dart's successor is the dart after its twin in
-        its head's list, sorted by head, wrapping around; in a tree this is
-        one cycle around the tree.  Cut before the root's first dart, it is
-        ranked by pointer jumping, one round per bit of 2(n-1), and the
-        earlier dart of each edge points from parent to child."""
+        One DFS from the root over both directions of every edge gives the
+        preorder ``__init__`` would find from the parent links, and is laid
+        out as it stands; of each edge, the end with the smaller slot is the
+        parent."""
+        _check_root(root, n)
         if len(edges) != n - 1:
             raise TreeError(f"a spanning tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
         e = np.asarray(edges, dtype=np.float64).reshape(n - 1, 3)
         ends = e[:, :2].astype(np.int64)
-        tail = ends.ravel()                     # dart d runs tail[d] -> head[d]
+        outside = ((ends < 0) | (ends >= n)).any(axis=1)
+        if outside.any():
+            raise TreeError(f"edge {tuple(ends[outside.argmax()].tolist())} has an end outside 0..{n - 1}")
+        tail = ends.ravel()                    # both directions of each edge
         head = ends[:, ::-1].ravel()
-        darts = 2 * (n - 1)
-        by_tail = pair_order(n, tail, head)     # each vertex's darts, by head
-        pos = np.empty(darts, dtype=np.int64)
-        pos[by_tail] = np.arange(darts)
-        start = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=n))))
-        after_twin = pos[np.arange(darts) ^ 1] + 1
-        wrap = after_twin == start[head + 1]
-        after_twin[wrap] = start[head[wrap]]
-        nxt = np.append(by_tail[after_twin], darts)     # darts is the end marker
-        if start[root] < start[root + 1]:
-            nxt[nxt == by_tail[start[root]]] = darts    # cut before the root's first dart
-        dist = np.append(np.ones(darts, dtype=np.int64), 0)    # darts left to the end
-        for _ in range(darts.bit_length()):
-            dist = dist + dist[nxt]
-            nxt = nxt[nxt]
-        # the tour reaches every vertex iff the edges form a tree
-        if n > 1 and not np.bincount(head[nxt[:darts] == darts], minlength=n).all():
+        nbr = head[pair_order(n, tail, n - 1 - head)]   # by tail, heads descending
+        order = _preorder(nbr, np.bincount(tail, minlength=n), root)
+        del tail, head, nbr     # so that they do not raise the layout's peak
+        # n - 1 edges reach every vertex iff they form a tree
+        if len(order) != n:
             raise TreeError("edge list is not connected")
-        # the dart more darts away from the tour's end comes first
-        down = dist[0:darts:2] > dist[1:darts:2]
-        child = np.where(down, ends[:, 1], ends[:, 0])
+        slot = np.empty(n, dtype=np.int64)
+        slot[order] = np.arange(n)
+        ends = np.where((slot[ends[:, 0]] < slot[ends[:, 1]])[:, None], ends, ends[:, ::-1])
         parent = np.full(n, -1, dtype=np.int64)
-        parent[child] = np.where(down, ends[:, 0], ends[:, 1])
+        parent[ends[:, 1]] = ends[:, 0]         # each row is now (parent, child)
         parent_weight = np.zeros(n)
-        parent_weight[child] = e[:, 2]
-        return cls(parent, parent_weight, root=root)
+        parent_weight[ends[:, 1]] = e[:, 2]
+        _check_links(parent, parent_weight, root)
+        t = cls.__new__(cls)
+        t._lay_out(parent, parent_weight, root, order, slot)
+        return t
 
     @property
     def edges(self):

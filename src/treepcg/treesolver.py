@@ -8,8 +8,8 @@ its root path (the root sits at 0, and the result is centred at the end).
 This is leaf elimination read off directly: eliminating leaves first makes
 every pivot equal to its parent-edge weight.
 
-``factor`` takes the DFS-preorder layout that ``SpanningTree.__init__``
-builds, in which every subtree is a contiguous range of slots.  A solve is
+``factor`` takes the DFS-preorder layout that ``SpanningTree`` builds
+once, in which every subtree is a contiguous range of slots.  A solve is
 then two halves of a few whole-array calls each, both O(n) with no
 per-vertex Python code: ``subtree_sums`` (R^T) takes subtree sums as
 differences of one prefix sum, and ``root_path_sums`` (R) takes root-path sums

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import treepcg
-from treepcg import read_edge_list, read_vector
+from treepcg import cli, read_edge_list, read_vector
+from treepcg.pcg import PcgDivergenceError
 from treepcg.cli import (
     CliError,
     ExperimentSpec,
@@ -264,6 +265,40 @@ class TestSolve:
         assert main(["solve", "--graph", str(tmp_path / "no.txt"),
                      "--b", str(tmp_path / "no.txt"), "--out", "x"]) == 2
 
+    def test_nonfinite_right_hand_side_exits_2(self, tmp_path, capsys):
+        # bad input, not a solver failure: no traceback, and no output files
+        gp = self._write_path_graph(tmp_path)
+        bp = tmp_path / "b.txt"
+        bp.write_text("1.0\nnan\n0.0\n0.0\n-1.0\n")
+        out = tmp_path / "x.txt"
+        assert main(["solve", "--graph", str(gp), "--b", str(bp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: right-hand side has nonfinite entries\n"
+        assert not out.exists()
+
+    def test_divergence_is_not_reported_as_bad_input(self, tmp_path, monkeypatch):
+        # a solver failure is not exit 2: it propagates with its traceback
+        def diverge(*args, **kwargs):
+            raise PcgDivergenceError("nonfinite curvature at iteration 0")
+        monkeypatch.setattr(cli, "pcg_solve", diverge)
+        gp = self._write_path_graph(tmp_path)
+        bp = tmp_path / "b.txt"
+        bp.write_text("1.0\n0.0\n0.0\n0.0\n-1.0\n")
+        with pytest.raises(PcgDivergenceError):
+            main(["solve", "--graph", str(gp), "--b", str(bp), "--out", str(tmp_path / "x.txt")])
+
+    @pytest.mark.parametrize("command", ["solve", "scaling"])
+    @pytest.mark.parametrize("eps", ["2", "0", "-1", "nan"])
+    def test_epsilon_out_of_range_exits_2(self, command, eps, tmp_path, capsys):
+        gp = self._write_path_graph(tmp_path)
+        bp = tmp_path / "b.txt"
+        bp.write_text("1.0\n0.0\n0.0\n0.0\n-1.0\n")
+        source = (["--graph", str(gp), "--b", str(bp)] if command == "solve"
+                  else ["--gen", "grid:4x4:unit"])
+        out = tmp_path / "out"
+        assert main([command, *source, "--eps", eps, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: epsilon must lie in (0, 1)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("tree, x_digest, sidecar_digest", [
         ("maxw", "e94e4a97f69bc56df765edf922a919d39872abbec375dd234fabcc22d2b6e19c",
          "f427a72aa62b3c29ff579db72a58c683954e6d89ad4c57284560aaca88552298"),
@@ -359,6 +394,20 @@ class TestGenAndStretch:
         assert capsys.readouterr().err.startswith("error: bad seeds list")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["gen", "stretch", "solve", "scaling"])
+    @pytest.mark.parametrize("seeds", [",", ""])
+    def test_empty_seed_list_rejected(self, command, seeds, tmp_path, capsys):
+        gp = tmp_path / "g.txt"
+        gp.write_text("0 1 1.0\n1 2 1.0\n")
+        bp = tmp_path / "b.txt"
+        bp.write_text("1.0\n0.0\n-1.0\n")
+        source = (["--graph", str(gp), "--b", str(bp)] if command == "solve"
+                  else ["--gen", "grid:4x4:unit"])
+        out = tmp_path / "out"
+        assert main([command, *source, "--seeds", seeds, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad seeds list {seeds!r}: at least one seed is required\n"
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("command", ["stretch", "verify", "scaling"])
     def test_single_vertex_spec_rejected(self, command, tmp_path, capsys):
         assert main([command, "--gen", "grid:1x1:unit", "--out", str(tmp_path / "out")]) == 2
@@ -382,6 +431,27 @@ class TestConfigPrecedence:
         r2 = json.loads(out2.read_text())
         assert r2["spec"]["tree_method"] == "maxw"
         assert r2["spec"]["epsilon"] == 1e-4
+
+    @pytest.mark.parametrize("key, value", [("eps", "abc"), ("dense_cap", "x")])
+    def test_config_value_that_does_not_parse_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"tree = akpw\n{key} = {value}\n")
+        out = tmp_path / "r.json"
+        assert main(["verify", "--gen", "grid:5x5:unit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: bad value for {key}: {value!r}\n"
+        assert not out.exists()
+
+    def test_config_file_read_once(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("tree = akpw\neps = 1e-4\nseeds = 5\nchecks = trace\n")
+        calls = []
+        real = cli._read_config
+        monkeypatch.setattr(cli, "_read_config", lambda path: calls.append(path) or real(path))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--gen", "grid:5x5:unit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == [str(cfg)]
+        spec = json.loads(out.read_text())["spec"]
+        assert (spec["tree_method"], spec["epsilon"], spec["seeds"], spec["checks"]) == ("akpw", 1e-4, [5], "trace")
 
 
 class TestImports:

@@ -176,6 +176,12 @@ class TestPcgSolve:
         with pytest.raises(PcgError, match="length"):
             pcg_solve(g, factor(t), np.zeros(4), PcgConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_right_hand_side_rejected(self, bad):
+        g, t = triangle_setup()
+        with pytest.raises(PcgError, match="^right-hand side has nonfinite entries$"):
+            pcg_solve(g, factor(t), np.array([1.0, bad, -1.0]), PcgConfig())
+
     def test_outcome_json_keys(self):
         g, t = triangle_setup()
         out = pcg_solve(g, factor(t), np.array([1.0, 0.0, -1.0]), PcgConfig(epsilon=1e-8))

@@ -708,6 +708,64 @@ class TestSpanningTreeInit:
         assert str(err.value) == want
 
 
+_TREE_ARRAYS = ("parent", "parent_weight", "order", "slot", "last", "up", "depth", "resistance_prefix")
+
+
+def assert_same_tree(a, b):
+    assert (a.n, a.root) == (b.n, b.root)
+    for name in _TREE_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestFromEdgesLayout:
+    """from_edges lays out the preorder its own DFS found; every array must
+    equal the one __init__ builds from the parent links it returns."""
+
+    @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
+    def test_relabelled_shuffled_trees(self, kind, rng):
+        for n in (1, 2, 3, 257, 1 << 17):
+            t = deep_tree(kind, n, rng, 2) if n > 1 else random_tree(1, rng)
+            parent, weight, root = relabelled(t, rng)
+            child = np.flatnonzero(parent >= 0)
+            flip = rng.random(len(child)) < 0.5
+            edges = np.column_stack((np.where(flip, parent[child], child),
+                                     np.where(flip, child, parent[child]), weight[child]))
+            tr = SpanningTree.from_edges(n, edges[rng.permutation(len(child))], root=root)
+            assert np.array_equal(tr.parent, parent)
+            assert_same_tree(tr, SpanningTree(tr.parent, tr.parent_weight, root=root))
+
+    @pytest.mark.parametrize("spec", [
+        "grid:120x120:logw", "regular:n=30000,d=4:logw",
+        "grid:20x20:logw", "gnp:n=450,p=0.02:logw", "regular:n=400,d=4:unit",
+    ])
+    def test_benchmark_and_desk_trees(self, spec):
+        for seed in range(3):
+            g = generate(spec, seed=seed)
+            for t in (max_weight_spanning_tree(g), low_stretch_heuristic_tree(g, seed)):
+                assert_same_tree(t, SpanningTree(t.parent, t.parent_weight, root=t.root))
+
+    @pytest.mark.parametrize("root", [3, 5, -1])
+    def test_root_out_of_range(self, root):
+        with pytest.raises(TreeError, match=rf"^root {root} is not a vertex: want 0 <= root < 3$"):
+            SpanningTree([-1, 0, 0], [1.0, 1.0, 1.0], root=root)
+        with pytest.raises(TreeError, match=rf"^root {root} is not a vertex: want 0 <= root < 3$"):
+            SpanningTree.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)], root=root)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 1.0), (1, 3, 1.0)], "edge (1, 3) has an end outside 0..2"),
+        ([(0, 1, 1.0), (-1, 2, 1.0)], "edge (-1, 2) has an end outside 0..2"),
+    ])
+    def test_end_out_of_range(self, edges, message):
+        with pytest.raises(TreeError) as err:
+            SpanningTree.from_edges(3, edges)
+        assert str(err.value) == message
+
+    def test_nonpositive_weight_message(self):
+        # the message __init__ gives for the same parent links
+        with pytest.raises(TreeError, match=r"^edge \(2, 1\) has nonpositive weight$"):
+            SpanningTree.from_edges(4, [(0, 1, 1.0), (2, 1, 0.0), (3, 0, -1.0)])
+
+
 def reference_orientation(n, edges, root):
     """Parent links and parent-edge weights of the tree on n vertices with
     the given (u, v, w) edges: of each edge, the end that the breadth-first
