@@ -341,6 +341,10 @@ def main(argv=None) -> int:
         cfg = _read_config(args.config) if args.config else {}
         tree_method = _resolve(args, cfg, "tree")
         epsilon = float(_resolve(args, cfg, "eps", float))
+        # before any input is read or generated, which pcg_solve's own check
+        # comes after; verify's ExperimentSpec checks it as early
+        if args.command in ("solve", "scaling") and not (0.0 < epsilon < 1.0):
+            raise CliError(f"epsilon must lie in (0, 1), got {epsilon}")
         seeds = _parse_seeds(_resolve(args, cfg, "seeds"))
         dense_cap = int(_resolve(args, cfg, "dense_cap", int))
         out = args.out

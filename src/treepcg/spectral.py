@@ -2,12 +2,21 @@
 
 Grounded at the tree's root, L_T^{-1} = R W^{-1} R^T: R[u, c] = 1 iff the
 non-root vertex c is u or an ancestor of u, and W holds the parent-edge
-weights.  The nonzero generalized eigenvalues of (L_G, L_T) are then those of
-F^T L_G F with F = R W^{-1/2}, one eigensolve with no pseudo-inverse.  F comes
-from the tree's DFS-preorder layout (each subtree a range of slots) and its
-parent-edge weights, independent of the LCA sparse table and root prefix sums
-behind the stretch report.  Everything here is O(n^3) and capped; it
-certifies claims, it does not scale.
+weights.  With F = R W^{-1/2}, the nonzero generalized eigenvalues of
+(L_G, L_T) are those of F^T L_G F, one eigensolve with no pseudo-inverse.
+Rows of F come from the tree's DFS-preorder layout (each subtree a range of
+slots) and its parent-edge weights, independent of the LCA sparse table and
+root prefix sums behind the stretch report.
+
+Since F^T L_T F = I exactly, F^T L_G F = I + C^T C, where C has one row
+sqrt(w) (F[u] - F[v]) per off-tree edge (u, v, w).  With k off-tree edges,
+k <= 4(n-1) takes that route: it sums positive semidefinite rank-one terms
+whose entries are exact to rounding, so nothing cancels as it does in
+L_G F, where 1/sqrt(w) terms of very different sizes meet; and its
+k n^2 / 2 multiply-adds are at most the 2 n^3 of F^T L_G F.  Denser graphs
+form F^T L_G F from a dense L_G, where C would also take k n memory.
+Everything here is O(n^3) and capped; it certifies claims, it does not
+scale.
 """
 from __future__ import annotations
 
@@ -53,33 +62,65 @@ def dense_tree_laplacian(t: SpanningTree) -> np.ndarray:
     return dense_laplacian(WeightedGraph(t.n, t.edges), cap=t.n)
 
 
+def _ancestor_rows(t: SpanningTree, vertices=None) -> np.ndarray:
+    """Rows ``vertices`` (default: all) of R[:, non-root] as int8: R[u, c] = 1
+    iff c is u or an ancestor of u.  u lies in the subtree of c iff
+    slot[c] <= slot[u] <= last[slot[c]], so R is two broadcast comparisons
+    (of int32, which numpy compares twice as fast as int64)."""
+    slot = t.slot.astype(np.int32)
+    lo = slot[np.arange(t.n) != t.root]
+    s = (slot if vertices is None else slot[vertices])[:, None]
+    R = lo <= s
+    R &= s <= t.last.astype(np.int32)[lo]
+    return R.view(np.int8)
+
+
+def _sqrt_tree_weights(t: SpanningTree) -> np.ndarray:
+    return np.sqrt(t.parent_weight[np.arange(t.n) != t.root])
+
+
 def _tree_path_factor(t: SpanningTree) -> np.ndarray:
-    """F = R[:, non-root] / sqrt(parent weights), so F F^T is L_T^{-1} grounded
-    at the root.  u lies in the subtree of c iff slot[c] <= slot[u] <=
-    last[slot[c]], so R is two broadcast comparisons, made in F's own
-    buffer."""
-    c = np.flatnonzero(np.arange(t.n) != t.root)
-    s = t.slot[:, None]
-    F = np.less_equal(t.slot[c], s, out=np.empty((t.n, len(c))))
-    F *= s <= t.last[t.slot[c]]
-    F /= np.sqrt(t.parent_weight[c])
-    return F
+    """F = R[:, non-root] / sqrt(parent weights), so F F^T is L_T^{-1}
+    grounded at the root."""
+    return _ancestor_rows(t) / _sqrt_tree_weights(t)
+
+
+_SPARSE_RATIO = 4  # off-tree edges per tree edge up to which I + C^T C is formed
+
+
+def _split_matrix(g: WeightedGraph, t: SpanningTree, cap: int) -> np.ndarray:
+    """F^T L_G F, by the route that the number k of off-tree edges selects
+    (module docstring).  A tree edge's row sqrt(w) (F[u] - F[v]) is a unit
+    vector, which is why only off-tree edges enter C.  I + C^T C is left
+    unsymmetrised: ``eigvalsh`` reads only its lower triangle."""
+    off = (t.parent[g.edge_u] != g.edge_v) & (t.parent[g.edge_v] != g.edge_u)
+    if np.count_nonzero(off) > _SPARSE_RATIO * (g.n - 1):
+        LG = dense_laplacian(g, cap=cap)
+        F = _tree_path_factor(t)
+        M = F.T @ LG @ F
+        return 0.5 * (M + M.T)
+    # C = sqrt(w) (F[u] - F[v]): R[u] - R[v] is +-1 on the u-v tree path
+    C = np.multiply(_ancestor_rows(t, g.edge_u[off]) - _ancestor_rows(t, g.edge_v[off]),
+                    np.sqrt(g.edge_w[off])[:, None])
+    C /= _sqrt_tree_weights(t)
+    M = C.T @ C
+    M[np.diag_indices_from(M)] += 1.0
+    return M
 
 
 def generalized_spectrum(
     g: WeightedGraph, t: SpanningTree, cap: int = DEFAULT_DENSE_CAP
 ) -> SpectralSummary:
-    """All n-1 nonzero generalized eigenvalues of (L_G, L_T), dense."""
+    """All n-1 nonzero generalized eigenvalues of (L_G, L_T), dense: those of
+    I + C^T C when the graph has at most 4(n-1) off-tree edges, else of
+    F^T L_G F (see the module docstring)."""
     if g.n > cap:
         raise GraphError(f"n={g.n} exceeds dense cap {cap}")
     if not is_connected(g):
         raise GraphError("graph must be connected")
     if not tree_spans(g, t):
         raise TreeError("tree does not span the graph with matching weights")
-    LG = dense_laplacian(g, cap=cap)
-    F = _tree_path_factor(t)
-    M = F.T @ LG @ F
-    ev = np.linalg.eigvalsh(0.5 * (M + M.T))
+    ev = np.linalg.eigvalsh(_split_matrix(g, t, cap))
     if len(ev) != g.n - 1:
         raise RuntimeError("eigensolver returned an unexpected number of eigenvalues")
     return SpectralSummary(

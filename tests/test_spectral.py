@@ -17,6 +17,7 @@ from treepcg import (
     stretch_report,
     tail_count,
 )
+from treepcg import spectral
 from treepcg.spectral import _tree_path_factor
 from treepcg.trees import path_resistance
 
@@ -131,11 +132,11 @@ def path_walk_spectrum(g, t):
     return np.sort(np.linalg.svd(D, compute_uv=False) ** 2)
 
 
-def graph_over(t, rng):
-    """t plus up to 2n random non-tree edges, each weighted to a stretch
-    log-uniform in [0.1, 10], so that lambda_max stays moderate."""
+def graph_over(t, rng, draws=2):
+    """t plus up to draws * n random non-tree edges, each weighted to a
+    stretch log-uniform in [0.1, 10], so that lambda_max stays moderate."""
     n = t.n
-    u, v = rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
+    u, v = rng.integers(0, n, draws * n), rng.integers(0, n, draws * n)
     pairs = set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
     pairs -= {(a, b) for a, b, _ in t.edges}
     pu, pv = (np.array(sorted(p for p in pairs if p[0] != p[1])).T)
@@ -147,9 +148,11 @@ class TestTreePathFactor:
     @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
     @pytest.mark.parametrize("decades", [1, 4])
     def test_matches_reference_spectra(self, rng, kind, decades):
+        # at most 2n off-tree edges: the I + C^T C route
         n = 120
         t = SpanningTree.from_edges(n, deep_tree(kind, n, rng, decades).edges, root=n // 3 + 1)
         g = graph_over(t, rng)
+        assert g.m - (n - 1) <= 4 * (n - 1)
         ev = generalized_spectrum(g, t).eigenvalues
         walk = path_walk_spectrum(g, t)
         pinv = pinv_route_spectrum(g, t)
@@ -159,9 +162,46 @@ class TestTreePathFactor:
             assert new_err <= 1e-10
         else:
             # with weights 10^+-4 the pinv route is off by up to ~1e-7 per
-            # eigenvalue; the factor route may not be less accurate than it
-            assert new_err <= 1e-9
+            # eigenvalue, F^T L_G F by up to ~5e-9; C^T C sums exact terms
+            assert new_err <= 1e-12
             assert new_err <= np.max(np.abs(pinv - walk) / walk)
+
+    @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
+    @pytest.mark.parametrize("decades", [1, 4])
+    def test_dense_graphs_keep_the_dense_route(self, rng, kind, decades):
+        # about 7.5n off-tree edges: F^T L_G F from a dense L_G, as before
+        n = 120
+        t = SpanningTree.from_edges(n, deep_tree(kind, n, rng, decades).edges, root=n // 3 + 1)
+        g = graph_over(t, rng, draws=8)
+        assert g.m - (n - 1) > 4 * (n - 1)
+        F = _tree_path_factor(t)
+        M = F.T @ dense_laplacian(g) @ F
+        ev = generalized_spectrum(g, t).eigenvalues
+        assert np.array_equal(ev, np.linalg.eigvalsh(0.5 * (M + M.T)))
+        walk = path_walk_spectrum(g, t)
+        pinv = pinv_route_spectrum(g, t)
+        err = np.max(np.abs(ev - walk) / walk)
+        if decades == 1:
+            assert np.max(np.abs(ev - pinv) / pinv) <= 1e-10
+            assert err <= 1e-10
+        else:
+            assert err <= 1e-9
+            assert err <= np.max(np.abs(pinv - walk) / walk)
+
+    @pytest.mark.parametrize("n, dense", [(10, False), (11, True)])
+    def test_route_switches_past_four_off_tree_edges_per_tree_edge(self, monkeypatch, n, dense):
+        # K_n over a path tree has (n-1)(n-2)/2 off-tree edges: 4(n-1) at
+        # n = 10, one tree edge's worth more at n = 11
+        calls = []
+        real = spectral.dense_laplacian
+        monkeypatch.setattr(spectral, "dense_laplacian",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        g = WeightedGraph(n, [(u, v, 1.0 + u + v) for u in range(n) for v in range(u + 1, n)])
+        t = SpanningTree.from_edges(n, [(u, u + 1, 2.0 + 2 * u) for u in range(n - 1)])
+        s = generalized_spectrum(g, t)
+        assert bool(calls) == dense
+        assert s.trace == pytest.approx(stretch_report(g, t).total, rel=1e-13)
+        assert np.allclose(s.eigenvalues, path_walk_spectrum(g, t), rtol=1e-13)
 
     @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
                                       "regular:n=400,d=4:unit"])
