@@ -25,7 +25,8 @@ from treepcg import (
 )
 from treepcg.cli import build_tree
 from treepcg.graphs import laplacian_apply
-from treepcg.spectral import _tree_path_factor, exact_qul, generalized_spectrum, tail_count
+from treepcg.spectral import (_ancestor_rows, _sqrt_tree_weights, exact_qul, generalized_spectrum,
+                              tail_count)
 from treepcg.treesolver import pseudo_solve, subtree_sums
 
 
@@ -261,7 +262,7 @@ class TestSplitSystem:
         g = generate(spec, 0)
         t = build_tree(g, tree, 0)
         f = factor(t)
-        F = _tree_path_factor(t)
+        F = _ancestor_rows(t) / _sqrt_tree_weights(t)
         want = F.T @ dense_laplacian(g) @ F
         # slot p > 0 holds vertex preorder[p], column preorder[p] - 1 of F
         cols = f.preorder[1:] - (f.preorder[1:] > t.root)

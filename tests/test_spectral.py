@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,15 +19,16 @@ from treepcg import (
     tail_count,
 )
 from treepcg import spectral
-from treepcg.spectral import _tree_path_factor
+from treepcg.spectral import _ancestor_rows, _sqrt_tree_weights
 from treepcg.trees import path_resistance
 
 from conftest import deep_tree, random_tree, root_path
 
 
 def row_copy_path_factor(t):
-    """_tree_path_factor as a per-row loop built it: each row copies its
-    parent's row, parents first, and sets its own column."""
+    """F = R[:, non-root] / sqrt(parent weights) as a per-row loop built it:
+    each row copies its parent's row, parents first, and sets its own
+    column."""
     R = np.zeros((t.n, t.n))
     for u in t.order[1:].tolist():
         R[u] = R[t.parent[u]]
@@ -88,6 +90,10 @@ class TestGeneralizedSpectrum:
         oracle = np.trace(dense_laplacian(g) @ np.linalg.pinv(dense_tree_laplacian(t)))
         assert s.trace == pytest.approx(oracle, rel=1e-9)
 
+    def test_single_vertex_rejected(self):
+        with pytest.raises(GraphError, match="at least 2 vertices"):
+            generalized_spectrum(WeightedGraph(1, []), SpanningTree([-1], [1.0]))
+
     def test_json_and_csv(self, tmp_path):
         g, t = triangle_setup()
         s = generalized_spectrum(g, t)
@@ -148,36 +154,26 @@ class TestTreePathFactor:
     @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
     @pytest.mark.parametrize("decades", [1, 4])
     def test_matches_reference_spectra(self, rng, kind, decades):
-        # at most 2n off-tree edges: the I + C^T C route
+        # at most 2n off-tree edges: one block of C
         n = 120
         t = SpanningTree.from_edges(n, deep_tree(kind, n, rng, decades).edges, root=n // 3 + 1)
         g = graph_over(t, rng)
         assert g.m - (n - 1) <= 4 * (n - 1)
-        ev = generalized_spectrum(g, t).eigenvalues
-        walk = path_walk_spectrum(g, t)
-        pinv = pinv_route_spectrum(g, t)
-        new_err = np.max(np.abs(ev - walk) / walk)
-        if decades == 1:
-            assert np.max(np.abs(ev - pinv) / pinv) <= 1e-10
-            assert new_err <= 1e-10
-        else:
-            # with weights 10^+-4 the pinv route is off by up to ~1e-7 per
-            # eigenvalue, F^T L_G F by up to ~5e-9; C^T C sums exact terms
-            assert new_err <= 1e-12
-            assert new_err <= np.max(np.abs(pinv - walk) / walk)
+        self.assert_matches_reference_spectra(g, t, decades)
 
     @pytest.mark.parametrize("kind", ["path", "star", "random", "broom"])
     @pytest.mark.parametrize("decades", [1, 4])
-    def test_dense_graphs_keep_the_dense_route(self, rng, kind, decades):
-        # about 7.5n off-tree edges: F^T L_G F from a dense L_G, as before
+    def test_dense_graphs_match_reference_spectra(self, rng, kind, decades):
+        # about 7.5n off-tree edges: two blocks of C
         n = 120
         t = SpanningTree.from_edges(n, deep_tree(kind, n, rng, decades).edges, root=n // 3 + 1)
         g = graph_over(t, rng, draws=8)
         assert g.m - (n - 1) > 4 * (n - 1)
-        F = _tree_path_factor(t)
-        M = F.T @ dense_laplacian(g) @ F
+        self.assert_matches_reference_spectra(g, t, decades)
+
+    @staticmethod
+    def assert_matches_reference_spectra(g, t, decades):
         ev = generalized_spectrum(g, t).eigenvalues
-        assert np.array_equal(ev, np.linalg.eigvalsh(0.5 * (M + M.T)))
         walk = path_walk_spectrum(g, t)
         pinv = pinv_route_spectrum(g, t)
         err = np.max(np.abs(ev - walk) / walk)
@@ -185,23 +181,44 @@ class TestTreePathFactor:
             assert np.max(np.abs(ev - pinv) / pinv) <= 1e-10
             assert err <= 1e-10
         else:
-            assert err <= 1e-9
+            # with weights 10^+-4 the pinv route is off by up to ~1e-7 per
+            # eigenvalue, F^T L_G F by up to ~5e-9; C^T C sums exact terms
+            assert err <= 1e-12
             assert err <= np.max(np.abs(pinv - walk) / walk)
 
-    @pytest.mark.parametrize("n, dense", [(10, False), (11, True)])
-    def test_route_switches_past_four_off_tree_edges_per_tree_edge(self, monkeypatch, n, dense):
-        # K_n over a path tree has (n-1)(n-2)/2 off-tree edges: 4(n-1) at
-        # n = 10, one tree edge's worth more at n = 11
-        calls = []
-        real = spectral.dense_laplacian
+    @pytest.mark.parametrize("n, blocks", [(10, 1), (11, 2)])
+    def test_blocks_of_four_off_tree_edges_per_tree_edge(self, monkeypatch, n, blocks):
+        # K_n over a path tree has (n-1)(n-2)/2 off-tree edges: 4(n-1), one
+        # block, at n = 10, one tree edge's worth more than a block at n = 11
+        calls, grams = [], []
+        dense = spectral.dense_laplacian
         monkeypatch.setattr(spectral, "dense_laplacian",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+                            lambda *a, **k: calls.append(1) or dense(*a, **k))
+        real = spectral._block_gram
+        monkeypatch.setattr(spectral, "_block_gram",
+                            lambda *a: grams.append(len(a[2])) or real(*a))
         g = WeightedGraph(n, [(u, v, 1.0 + u + v) for u in range(n) for v in range(u + 1, n)])
         t = SpanningTree.from_edges(n, [(u, u + 1, 2.0 + 2 * u) for u in range(n - 1)])
         s = generalized_spectrum(g, t)
-        assert bool(calls) == dense
+        assert not calls
+        assert len(grams) == blocks and grams[0] == 4 * (n - 1)
+        assert sum(grams) == (n - 1) * (n - 2) // 2
         assert s.trace == pytest.approx(stretch_report(g, t).total, rel=1e-13)
         assert np.allclose(s.eigenvalues, path_walk_spectrum(g, t), rtol=1e-13)
+
+    def test_memory_bounded_by_the_block(self):
+        # K_200 over a path tree: 19701 off-tree edges, 25 blocks.  C whole
+        # would be about 100 (n-1)^2 doubles; one block of it is 4
+        n = 200
+        g = WeightedGraph(n, [(u, v, 1.0 + u + v) for u in range(n) for v in range(u + 1, n)])
+        t = SpanningTree.from_edges(n, [(u, u + 1, 2.0 + 2 * u) for u in range(n - 1)])
+        tracemalloc.start()
+        try:
+            generalized_spectrum(g, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (n - 1) ** 2 * 8
 
     @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
                                       "regular:n=400,d=4:unit"])
@@ -209,7 +226,8 @@ class TestTreePathFactor:
         for seed in (0, 1, 2):
             g = generate(spec, seed)
             for t in (max_weight_spanning_tree(g), low_stretch_heuristic_tree(g, seed)):
-                assert np.array_equal(_tree_path_factor(t), row_copy_path_factor(t))
+                assert np.array_equal(_ancestor_rows(t) / _sqrt_tree_weights(t),
+                                      row_copy_path_factor(t))
         for kind in ("path", "star", "random", "broom"):
             t = deep_tree(kind, 60, rng, 4)
             perm = rng.permutation(t.n)       # relabelled, rooted elsewhere than 0
@@ -218,12 +236,12 @@ class TestTreePathFactor:
             weight = np.empty(t.n)
             weight[perm] = t.parent_weight
             r = SpanningTree(parent, weight, root=int(perm[0]))
-            assert np.array_equal(_tree_path_factor(r), row_copy_path_factor(r))
+            assert np.array_equal(_ancestor_rows(r) / _sqrt_tree_weights(r), row_copy_path_factor(r))
 
     def test_factor_inverts_grounded_tree_laplacian(self, rng):
         for kind in ("path", "star", "random", "broom"):
             t = SpanningTree.from_edges(50, deep_tree(kind, 50, rng, 1).edges, root=7)
-            F = _tree_path_factor(t)
+            F = _ancestor_rows(t) / _sqrt_tree_weights(t)
             keep = np.arange(t.n) != t.root
             assert np.allclose(F[keep] @ F[keep].T @ dense_tree_laplacian(t)[np.ix_(keep, keep)],
                                np.eye(t.n - 1), atol=1e-9)
