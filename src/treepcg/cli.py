@@ -70,6 +70,17 @@ def build_tree(g, method: str, seed: int):
     raise CliError(f"unknown tree method {method!r}")
 
 
+def _pcg_config(g, epsilon: float, **flags) -> PcgConfig:
+    """The settings of every solve the CLI runs, with its iteration budget max(4n, 100)."""
+    return PcgConfig(epsilon=epsilon, max_iterations=max(4 * g.n, 100), **flags)
+
+
+def _seeded_rhs(n: int, seed: int) -> np.ndarray:
+    """The seeded, centred standard-normal right-hand side of verify and scaling."""
+    b = np.random.default_rng([seed, 0xB0]).standard_normal(n)
+    return b - b.mean()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -104,21 +115,13 @@ def run_verify(spec: ExperimentSpec) -> dict:
             record["tails_ok"] = violations == 0
             ok = ok and record["tails_ok"]
         if spec.checks in ("pcg-bound", "all"):
-            rng = np.random.default_rng([seed, 0xB0])
-            b = rng.standard_normal(g.n)
-            b -= b.mean()
+            b = _seeded_rhs(g.n, seed)
             # grounded at vertex 0, then shifted to the mean-zero (pinv) solution
             x_true = np.zeros(g.n)
             x_true[1:] = np.linalg.solve(dense_laplacian(g, cap=spec.dense_cap)[1:, 1:], b[1:])
             x_true -= x_true.mean()
-            f = factor(t)
-            cfg = PcgConfig(
-                epsilon=spec.epsilon,
-                max_iterations=max(4 * g.n, 100),
-                record_history=True,
-                reorthogonalize=True,
-            )
-            out = pcg_solve(g, f, b, cfg, x_true=x_true)
+            cfg = _pcg_config(g, spec.epsilon, record_history=True, reorthogonalize=True)
+            out = pcg_solve(g, factor(t), b, cfg, x_true=x_true)
             observed = _first_accurate_iteration(out, spec.epsilon)
             exact = exact_spectrum_bound(s, rep.total, spec.epsilon)
             st_only = stretch_only_bound(rep.total, spec.epsilon)
@@ -171,12 +174,7 @@ def run_scaling(generators, tree_method: str, epsilon: float, seeds) -> list:
             g = generate(gen, seed)
             t = build_tree(g, tree_method, seed)
             rep = stretch_report(g, t)
-            f = factor(t)
-            rng = np.random.default_rng([seed, 0xB0])
-            b = rng.standard_normal(g.n)
-            b -= b.mean()
-            cfg = PcgConfig(epsilon=epsilon, max_iterations=max(4 * g.n, 100))
-            out = pcg_solve(g, f, b, cfg)
+            out = pcg_solve(g, factor(t), _seeded_rhs(g.n, seed), _pcg_config(g, epsilon))
             st_only = stretch_only_bound(rep.total, epsilon)
             rows.append(
                 {
@@ -215,9 +213,7 @@ def run_solve(graph_path, b_path, tree_method: str, epsilon: float, seed: int = 
         raise CliError(f"right-hand side has {len(b)} entries but graph has {g.n} vertices")
     t = build_tree(g, tree_method, seed)
     rep = stretch_report(g, t)
-    f = factor(t)
-    cfg = PcgConfig(epsilon=epsilon, max_iterations=max(4 * g.n, 100))
-    out = pcg_solve(g, f, b, cfg)
+    out = pcg_solve(g, factor(t), b, _pcg_config(g, epsilon))
     sidecar = {
         "iterations": out.iterations,
         "converged": out.converged,

@@ -132,9 +132,16 @@ def components(n: int, u, v) -> np.ndarray:
             return f
         u, v = np.minimum(u[cross], v[cross]), np.maximum(u[cross], v[cross])
         np.minimum.at(f, v, u)
-        g = f[f]
-        while not np.array_equal(g, f):
-            f, g = g, g[g]
+        f = _jump(f)
+
+
+def _jump(f: np.ndarray) -> np.ndarray:
+    """Pointers followed to their fixed points by pointer jumping: rounds of
+    ``f = f[f]`` until stable, O(log d) of them for chains of length d."""
+    g = f[f]
+    while not np.array_equal(g, f):
+        f, g = g, g[g]
+    return f
 
 
 def laplacian_apply(g: WeightedGraph, x) -> np.ndarray:

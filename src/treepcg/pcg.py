@@ -141,7 +141,7 @@ def exact_spectrum_bound(summary, total_stretch: float, epsilon: float) -> Itera
     q_target = min(math.ceil(_snapped_root(max(total_stretch, 1.0), 1.0 / 3.0)), n1 - 1)
     if q_target >= 1:
         hi = float(ev[-q_target])
-        lo = float(ev[-(q_target + 1)]) if q_target < n1 else float(ev[0])
+        lo = float(ev[-(q_target + 1)])
         u = hi * (1.0 - 1e-9) if hi > lo else lo
     else:
         u = summary.lambda_max
@@ -253,23 +253,16 @@ def pcg_solve(
     denom = math.sqrt(ss)
     history = [1.0] if cfg.record_history else None
     a_hist = [a_norm_rel_err(x)] if (cfg.record_history and x_true is not None) else None
-    if denom == 0.0:
-        return PcgOutcome(
-            x=x, iterations=0, converged=True, centered_input=centered,
-            final_residual=0.0, residual_history=history,
-            a_norm_error=(a_norm_rel_err(x) if x_true is not None else None),
-            a_norm_history=a_hist,
-        )
     p = s.copy()
     k = 0
-    converged = False
-    rel = 1.0
-    if cfg.reorthogonalize:
+    converged = denom == 0.0        # a zero residual is solved by x = 0
+    rel = 0.0 if converged else 1.0
+    if cfg.reorthogonalize and not converged:
         # the kept transformed residuals, normalised
         kept = np.empty((min(cfg.max_iterations + 1, _KEPT_ROWS), g.n - 1))
         kept[0] = s / denom
         h = 1
-    while k < cfg.max_iterations:
+    while not converged and k < cfg.max_iterations:
         phi, mp = _split_multiply(off, f, scale, p)
         pmp = float(p @ mp)
         if not math.isfinite(pmp):

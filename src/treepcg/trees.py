@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, components, is_connected, pair_order, stable_order
+from .graphs import WeightedGraph, _jump, components, is_connected, pair_order, stable_order
+from .treesolver import root_path_sums
 
 
 class TreeError(ValueError):
@@ -43,13 +44,13 @@ def _check_links(parent, parent_weight, root) -> None:
         raise TreeError(f"edge ({u}, {parent[u]}) has nonpositive weight")
 
 
-def _preorder(nbr, count, root) -> np.ndarray:
-    """The vertices reachable from the root in DFS preorder, neighbours in
-    ascending id, by one stack; a vertex already reached is skipped when
-    popped.  Vertex x's neighbours are the next count[x] entries of nbr, in
-    descending id, so that the stack pops them ascending.  The lists are
-    int64 arrays, not lists: a lookup by vertex id lands at a random place,
-    and an entry is then 8 bytes in one place, not a pointer to an int."""
+def _preorder(nbr, count, root) -> tuple:
+    """The vertices reachable from the root in DFS preorder, neighbours in ascending
+    id, and each reached vertex's slot in it, by one stack; a vertex already reached
+    is skipped when popped.  Vertex x's neighbours are the next count[x] entries of
+    nbr, in descending id, so that the stack pops them ascending.  The lists are
+    int64 arrays, not lists: a lookup by vertex id lands at a random place, and an
+    entry is then 8 bytes in one place, not a pointer to an int."""
     ptr = array("q", np.concatenate(([0], np.cumsum(count))).tobytes())
     nbr = array("q", nbr.tobytes())
     seen = bytearray(len(count))
@@ -62,7 +63,10 @@ def _preorder(nbr, count, root) -> np.ndarray:
             seen[x] = 1
             visit(x)
             stack += nbr[ptr[x]:ptr[x + 1]]
-    return np.frombuffer(order, dtype=np.int64)
+    order = np.frombuffer(order, dtype=np.int64)
+    slot = np.empty(len(count), dtype=np.int64)
+    slot[order] = np.arange(len(order))
+    return order, slot
 
 
 class SpanningTree:
@@ -70,10 +74,11 @@ class SpanningTree:
 
     Immutable after construction.  Either constructor lays the vertices out in
     DFS preorder, children in ascending id: ``order`` lists them, ``slot`` maps a
-    vertex to its place in it, the subtree at slot p is
-    ``order[p : last[p] + 1]``, and ``up[p]`` is the slot of the parent of
-    slot p (-1 at the root).  The LCA table is built lazily on first use, so
-    that solve-only workloads at large n never pay its O(n log n) cost.
+    vertex to its place in it, the subtree at slot p is ``order[p : last[p] + 1]``,
+    and ``up[p]`` is the slot of the parent of slot p (-1 at the root).  Only
+    the DFS and the resistance prefix sum are per-vertex Python loops.  The LCA
+    table is built lazily on first use, so that solve-only workloads at large n
+    never pay its O(n log n) cost.
     """
 
     __slots__ = ("n", "root", "parent", "parent_weight", "depth", "order", "slot", "last", "up",
@@ -89,11 +94,9 @@ class SpanningTree:
         # stable_order: numpy's stable sort takes the runs of path- and
         # star-like parent arrays in O(n) (2.4 against 8.7 ms on a 2^18 path).
         kids = n - 1 - np.argsort(parent[::-1], kind="stable")[1:]
-        order = _preorder(kids, np.bincount(parent[kids], minlength=n), root)
+        order, slot = _preorder(kids, np.bincount(parent[kids], minlength=n), root)
         if len(order) != n:
             raise TreeError("parent links do not reach every vertex from the root")
-        slot = np.empty(n, dtype=np.int64)
-        slot[order] = np.arange(n)
         self._lay_out(parent, parent_weight, root, order, slot)
 
     def _lay_out(self, parent, parent_weight, root, order, slot) -> None:
@@ -101,31 +104,31 @@ class SpanningTree:
         n = len(parent)
         up = slot[parent[order]]
         up[0] = -1
-        ups = up.tolist()
-        # parents first, so each prefix is its parent's plus one term
-        inv = (1.0 / np.where(parent >= 0, parent_weight, 1.0))[order].tolist()
-        depth = [0] * n
-        prefix = [0.0] * n
+        # parents first, so each prefix is its parent's plus one term (arrays: see _preorder)
+        ups = array("q", up.tobytes())
+        inv = array("d", (1.0 / np.where(parent >= 0, parent_weight, 1.0))[order].tobytes())
+        prefix = array("d", bytes(8 * n))
         for i in range(1, n):
-            p = ups[i]
-            depth[i] = depth[p] + 1
-            prefix[i] = prefix[p] + inv[i]
-        depth = np.array(depth, dtype=np.int64)     # frees the lists before the next pass
-        prefix = np.array(prefix)
-        # children first: subtree sizes, and so where each range ends
-        size = [1] * n
-        for i in range(n - 1, 0, -1):
-            size[ups[i]] += size[i]
+            prefix[i] = prefix[ups[i]] + inv[i]
+        del ups, inv
+        prefix = np.frombuffer(prefix)
+        # a subtree ends where its last child's subtree ends: point each slot at
+        # its largest child slot, a leaf at itself, and follow the pointers.  A
+        # fancy assignment would not do: numpy leaves open which repeated write wins
+        last = np.arange(n)
+        np.maximum.at(last, up[1:], np.arange(1, n))
 
         self.n = n
         self.root = root
         self.parent = parent
         self.parent_weight = parent_weight
-        self.depth = depth[slot]
         self.order = order
         self.slot = slot
-        self.last = np.arange(n) + np.array(size, dtype=np.int64) - 1
+        self.last = _jump(last)
         self.up = up
+        # a slot's depth is the number of non-root ranges [p, last[p]] holding it, a
+        # root-path sum of ones (exact below 2^53); root_path_sums reads n and last
+        self.depth = root_path_sums(self, np.ones(n - 1)).astype(np.int64)[slot]
         self.resistance_prefix = prefix[slot]
         self._table = None
 
@@ -150,13 +153,11 @@ class SpanningTree:
         tail = ends.ravel()                    # both directions of each edge
         head = ends[:, ::-1].ravel()
         nbr = head[pair_order(n, tail, n - 1 - head)]   # by tail, heads descending
-        order = _preorder(nbr, np.bincount(tail, minlength=n), root)
+        order, slot = _preorder(nbr, np.bincount(tail, minlength=n), root)
         del tail, head, nbr     # so that they do not raise the layout's peak
         # n - 1 edges reach every vertex iff they form a tree
         if len(order) != n:
             raise TreeError("edge list is not connected")
-        slot = np.empty(n, dtype=np.int64)
-        slot[order] = np.arange(n)
         ends = np.where((slot[ends[:, 0]] < slot[ends[:, 1]])[:, None], ends, ends[:, ::-1])
         parent = np.full(n, -1, dtype=np.int64)
         parent[ends[:, 1]] = ends[:, 0]         # each row is now (parent, child)
@@ -260,14 +261,15 @@ class StretchReport:
 
     def summary(self) -> dict:
         vals = self.values
-        hi = float(vals.max())
+        hi = float(vals.max()) if len(vals) else 0.0
         bins = np.logspace(0.0, np.log10(max(hi, 1.0)) + 1e-12, 11)
-        bins[0] = min(bins[0], float(vals.min()))
+        if len(vals):
+            bins[0] = min(bins[0], float(vals.min()))
         counts, edges = np.histogram(vals, bins=bins)
         return {
             "total": float(self.total),
             "max": hi,
-            "mean": float(vals.mean()),
+            "mean": float(vals.mean()) if len(vals) else 0.0,
             "histogram": {
                 "bin_edges": [float(b) for b in edges],
                 "counts": [int(c) for c in counts],

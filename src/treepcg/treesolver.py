@@ -20,9 +20,12 @@ own, in slot order, with W^{-1/2} on each side (see ``pcg``).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .trees import SpanningTree
+if TYPE_CHECKING:       # trees imports root_path_sums, for tree depths, from here
+    from .trees import SpanningTree
 
 
 class TreeSolveError(ValueError):

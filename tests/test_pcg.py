@@ -150,6 +150,19 @@ class TestPcgSolve:
         out = pcg_solve(g, factor(t), np.array([1.0, 0.0, -1.0]), PcgConfig(epsilon=1e-8))
         assert not out.centered_input
 
+    @pytest.mark.parametrize("reorthogonalize", [False, True])
+    def test_zero_right_hand_side_after_centring(self, reorthogonalize):
+        g = generate("grid:6x6:unit", seed=0)
+        t = max_weight_spanning_tree(g)
+        cfg = PcgConfig(epsilon=1e-8, record_history=True, reorthogonalize=reorthogonalize)
+        with np.errstate(all="raise"):      # nothing is divided by the zero residual
+            out = pcg_solve(g, factor(t), np.ones(g.n), cfg, x_true=np.zeros(g.n))
+        assert np.array_equal(out.x, np.zeros(g.n))
+        assert out.iterations == 0 and out.converged and out.centered_input
+        assert out.final_residual == 0.0
+        assert out.residual_history == [1.0]
+        assert out.a_norm_history == [0.0] and out.a_norm_error == 0.0
+
     def test_non_convergence_reported(self, rng):
         g = generate("grid:15x15:unit", seed=1)
         t = max_weight_spanning_tree(g)

@@ -471,6 +471,11 @@ class TestStretchReport:
         assert rep.total == 0.0 and rep.per_edge == []
         rep.write_csv(tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == b"u,v,w,stretch\r\n"
+        summary = {"total": 0.0, "max": 0.0, "mean": 0.0, "histogram": {
+            "bin_edges": np.logspace(0.0, 1e-12, 11).tolist(), "counts": [0] * 10}}
+        assert rep.summary() == summary
+        rep.write_json_summary(tmp_path / "s.json")
+        assert json.loads((tmp_path / "s.json").read_text()) == summary
 
     def test_unit_triangle_path_tree(self):
         g = triangle()
@@ -785,9 +790,10 @@ def reference_orientation(n, edges, root):
 
 
 class TestSetupMemory:
-    # bytes per vertex plus edge; the peaks measured were 54-69 for the
-    # graph, 141-199 for maxw and 109-163 for from_edges, most of the last
-    # two the flat lists of SpanningTree.__init__
+    # bytes per vertex plus edge; the peaks measured were 46-58 for the
+    # graph, 68-90 for maxw and 36-54 for from_edges.  from_edges peaks while
+    # it orients its edges, before the layout, whose one Python pass runs
+    # over flat arrays of 24 bytes per vertex
     PER_ITEM = 400
 
     @pytest.mark.parametrize("shape", ["path", "grid"])
