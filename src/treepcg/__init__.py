@@ -31,7 +31,7 @@ from .trees import (
     stretch_report,
     tree_spans,
 )
-from .treesolver import TreeFactorization, TreeSolveError, factor, pseudo_solve
+from .treesolver import TreeSolveError, factor, pseudo_solve
 from .pcg import (
     IterationBound,
     PcgConfig,
@@ -50,6 +50,8 @@ from .spectral import (
     generalized_spectrum,
     tail_count,
 )
+
+TreeFactorization = SpanningTree    # factor(t) is t: the tree is its own factorization
 
 __all__ = [
     "DEFAULT_DENSE_CAP",

@@ -35,7 +35,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graphs import WeightedGraph, laplacian_apply
-from .treesolver import TreeFactorization, root_path_sums, subtree_sums
+from .trees import SpanningTree, tree_edge_mask
+from .treesolver import root_path_sums, subtree_sums
 # pcg_solve calls the two halves; pseudo_solve stays importable from here
 # because perfbench's tracer wraps it under this module's name.
 from .treesolver import pseudo_solve  # noqa: F401
@@ -169,31 +170,30 @@ class _SignedEdges(NamedTuple):
     edge_w: np.ndarray
 
 
-def _off_tree(g: WeightedGraph, f: TreeFactorization) -> _SignedEdges:
+def _off_tree(g: WeightedGraph, t: SpanningTree) -> _SignedEdges:
     """L_G - L_T as a signed edge list in slot labels.  A tree edge that g
     holds with the identical weight cancels and is left out; every other
     tree edge enters with weight -w_T, so a tree that is not a subgraph of g,
     or that carries other weights, still gives the right difference."""
-    su, sv = f.slot[g.edge_u], f.slot[g.edge_v]
-    hi = np.maximum(su, sv)             # a parent's slot precedes its child's
-    cancels = (f.up[hi] == np.minimum(su, sv)) & (g.edge_w == f.weight[hi])
-    cancelled = np.zeros(f.n, dtype=bool)
-    cancelled[hi[cancels]] = True
+    su, sv = t.slot[g.edge_u], t.slot[g.edge_v]
+    held = tree_edge_mask(g, t)
+    cancelled = np.zeros(t.n, dtype=bool)
+    cancelled[np.maximum(su, sv)[held]] = True      # a parent's slot precedes its child's
     extra = np.flatnonzero(~cancelled[1:]) + 1
-    keep = ~cancels
+    keep = ~held
     return _SignedEdges(
-        f.n,
-        np.concatenate((su[keep], f.up[extra])),
+        t.n,
+        np.concatenate((su[keep], t.up[extra])),
         np.concatenate((sv[keep], extra)),
-        np.concatenate((g.edge_w[keep], -f.weight[extra])),
+        np.concatenate((g.edge_w[keep], -t.parent_weight[t.order[extra]])),
     )
 
 
-def _split_multiply(off: _SignedEdges, f: TreeFactorization, scale: np.ndarray, p: np.ndarray):
+def _split_multiply(off: _SignedEdges, t: SpanningTree, scale: np.ndarray, p: np.ndarray):
     """(F p, F^T L_G F p) for p on slots 1..n-1, with F = R W^{-1/2} and
     F^T L_G F = I + F^T (L_G - L_T) F; F p comes back in slot order."""
-    phi = root_path_sums(f, p * scale)
-    mp = subtree_sums(f, laplacian_apply(off, phi))
+    phi = root_path_sums(t, p * scale)
+    mp = subtree_sums(t, laplacian_apply(off, phi))
     mp *= scale
     mp += p
     return phi, mp
@@ -201,7 +201,7 @@ def _split_multiply(off: _SignedEdges, f: TreeFactorization, scale: np.ndarray, 
 
 def pcg_solve(
     g: WeightedGraph,
-    f: TreeFactorization,
+    t: SpanningTree,
     b,
     cfg: PcgConfig,
     x_true: Optional[np.ndarray] = None,
@@ -221,8 +221,8 @@ def pcg_solve(
         raise PcgError(f"right-hand side length {b.shape} does not match n={g.n}")
     if not np.isfinite(b).all():
         raise PcgError("right-hand side has nonfinite entries")
-    if f.n != g.n:
-        raise PcgError("factorization size does not match graph")
+    if t.n != g.n:
+        raise PcgError("tree size does not match graph")
 
     mean = b.mean()
     centered = bool(abs(mean) > 1e-14 * max(1.0, float(np.abs(b).max())))
@@ -239,15 +239,15 @@ def pcg_solve(
         return num / true_norm if true_norm > 0 else num
 
     def by_vertex(x):
-        x = x[f.slot]
+        x = x[t.slot]
         x -= x.sum() / g.n
         return x
 
-    off = _off_tree(g, f)
-    scale = 1.0 / np.sqrt(f.weight[1:])
+    off = _off_tree(g, t)
+    scale = 1.0 / np.sqrt(t.parent_weight[t.order[1:]])
     # x = F y accumulates in slot order; s = F^T r is the transformed residual
     x = np.zeros(g.n)
-    s = subtree_sums(f, bbar[f.preorder])
+    s = subtree_sums(t, bbar[t.order])
     s *= scale
     ss = float(s @ s)
     denom = math.sqrt(ss)
@@ -263,7 +263,7 @@ def pcg_solve(
         kept[0] = s / denom
         h = 1
     while not converged and k < cfg.max_iterations:
-        phi, mp = _split_multiply(off, f, scale, p)
+        phi, mp = _split_multiply(off, t, scale, p)
         pmp = float(p @ mp)
         if not math.isfinite(pmp):
             raise PcgDivergenceError(f"nonfinite curvature at iteration {k}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DEFAULT_DENSE_CAP, GraphError, WeightedGraph, dense_laplacian, is_connected
-from .trees import SpanningTree, TreeError, tree_spans
+from .trees import SpanningTree, TreeError, tree_edge_mask, tree_spans
 
 
 @dataclass
@@ -96,7 +96,7 @@ def _split_matrix(g: WeightedGraph, t: SpanningTree) -> np.ndarray:
     the first block's product.  A tree edge's row of C would be a unit vector,
     so only off-tree edges enter C (with none, this is I).  Unsymmetrised:
     ``eigvalsh`` reads only the lower triangle."""
-    off = np.flatnonzero((t.parent[g.edge_u] != g.edge_v) & (t.parent[g.edge_v] != g.edge_u))
+    off = np.flatnonzero(~tree_edge_mask(g, t))
     rows = _BLOCK_RATIO * (g.n - 1)
     blocks = (off[lo:lo + rows] for lo in range(0, len(off) or 1, rows))
     M = _block_gram(g, t, next(blocks))

@@ -36,7 +36,7 @@ def _check_links(parent, parent_weight, root) -> None:
         raise TreeError(f"parent of root {root} must be -1")
     nonroot = np.arange(n) != root
     bad_parent = nonroot & ~((0 <= parent) & (parent < n))
-    bad = bad_parent | (nonroot & ~(parent_weight > 0.0))
+    bad = bad_parent | (nonroot & ~((parent_weight > 0.0) & np.isfinite(parent_weight)))
     if bad.any():
         u = int(bad.argmax())       # the first bad vertex; a bad parent wins
         if bad_parent[u]:
@@ -75,10 +75,12 @@ class SpanningTree:
     Immutable after construction.  Either constructor lays the vertices out in
     DFS preorder, children in ascending id: ``order`` lists them, ``slot`` maps a
     vertex to its place in it, the subtree at slot p is ``order[p : last[p] + 1]``,
-    and ``up[p]`` is the slot of the parent of slot p (-1 at the root).  Only
-    the DFS and the resistance prefix sum are per-vertex Python loops.  The LCA
-    table is built lazily on first use, so that solve-only workloads at large n
-    never pay its O(n log n) cost.
+    and ``up[p]`` is the slot of the parent of slot p (-1 at the root).  That
+    layout and ``parent_weight`` are all that a tree solve and PCG read: the tree
+    is its own factorization (``treesolver``).  Only the DFS and the resistance
+    prefix sum are per-vertex Python loops.  The LCA table is built lazily on
+    first use, so that solve-only workloads at large n never pay its
+    O(n log n) cost.
     """
 
     __slots__ = ("n", "root", "parent", "parent_weight", "depth", "order", "slot", "last", "up",
@@ -127,7 +129,7 @@ class SpanningTree:
         self.last = _jump(last)
         self.up = up
         # a slot's depth is the number of non-root ranges [p, last[p]] holding it, a
-        # root-path sum of ones (exact below 2^53); root_path_sums reads n and last
+        # root-path sum of ones (exact below 2^53), which reads only n and last
         self.depth = root_path_sums(self, np.ones(n - 1)).astype(np.int64)[slot]
         self.resistance_prefix = prefix[slot]
         self._table = None
@@ -222,19 +224,18 @@ def path_resistance(t: SpanningTree, u, v):
     return float(r) if np.ndim(r) == 0 else r
 
 
+def tree_edge_mask(g: WeightedGraph, t: SpanningTree) -> np.ndarray:
+    """For each edge of g (with g.n == t.n), whether it is a parent link of t
+    with the identical weight."""
+    u, v, w = g.edge_u, g.edge_v, g.edge_w
+    return (((t.parent[u] == v) & (t.parent_weight[u] == w))
+            | ((t.parent[v] == u) & (t.parent_weight[v] == w)))
+
+
 def tree_spans(g: WeightedGraph, t: SpanningTree) -> bool:
-    """True iff every tree edge exists in g with the identical weight."""
-    if t.n != g.n or g.m < t.n - 1:
-        return False
-    n = g.n
-    child = np.flatnonzero(t.parent >= 0)
-    a = np.minimum(child, t.parent[child])
-    b = np.maximum(child, t.parent[child])
-    keys = g.edge_u * n + g.edge_v          # ascending: edges are canonical and sorted
-    want = a * n + b
-    pos = np.minimum(np.searchsorted(keys, want), g.m - 1)
-    return bool(np.array_equal(keys[pos], want)
-                and np.array_equal(g.edge_w[pos], t.parent_weight[child]))
+    """True iff every tree edge exists in g with the identical weight.  g has
+    no parallel edges, so that is iff n - 1 of g's edges are tree edges."""
+    return t.n == g.n and int(np.count_nonzero(tree_edge_mask(g, t))) == t.n - 1
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ class TestSplitSystem:
     def operator(g, f):
         """The dense matrix of the per-iteration multiply, in slot order."""
         off = treepcg.pcg._off_tree(g, f)
-        scale = 1.0 / np.sqrt(f.weight[1:])
+        scale = 1.0 / np.sqrt(f.parent_weight[f.order[1:]])
         eye = np.eye(g.n - 1)
         return np.array([treepcg.pcg._split_multiply(off, f, scale, e)[1] for e in eye]).T
 
@@ -277,8 +277,8 @@ class TestSplitSystem:
         f = factor(t)
         F = _ancestor_rows(t) / _sqrt_tree_weights(t)
         want = F.T @ dense_laplacian(g) @ F
-        # slot p > 0 holds vertex preorder[p], column preorder[p] - 1 of F
-        cols = f.preorder[1:] - (f.preorder[1:] > t.root)
+        # slot p > 0 holds vertex order[p], column order[p] - 1 of F
+        cols = f.order[1:] - (f.order[1:] > t.root)
         got = self.operator(g, f)
         assert np.abs(got - want[np.ix_(cols, cols)]).max() <= 1e-13 * np.abs(want).max()
         st = stretch_report(g, t).total
@@ -393,9 +393,9 @@ def loop_split_pcg(g, f, b, cfg, x_true):
         return math.sqrt(max(float(d @ laplacian_apply(g, d)), 0.0)) / true_norm
 
     off = treepcg.pcg._off_tree(g, f)
-    scale = 1.0 / np.sqrt(f.weight[1:])
+    scale = 1.0 / np.sqrt(f.parent_weight[f.order[1:]])
     x = np.zeros(g.n)
-    s = subtree_sums(f, (b - b.mean())[f.preorder]) * scale
+    s = subtree_sums(f, (b - b.mean())[f.order]) * scale
     ss = float(s @ s)
     denom = math.sqrt(ss)
     a_hist = [a_norm_rel_err(x)]

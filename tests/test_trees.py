@@ -524,6 +524,21 @@ class TestStretchReport:
         path = SpanningTree.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert not tree_spans(WeightedGraph(3, [(0, 1, 1.0)]), path)
 
+    def test_tree_spans_equals_key_search(self):
+        g = generate("grid:5x5:logw", seed=0)
+        t = max_weight_spanning_tree(g)
+        nudged = t.parent_weight.copy()
+        nudged[7] = np.nextafter(nudged[7], np.inf)
+        parent = t.parent.copy()
+        parent[24] = 0
+        path = SpanningTree.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        for graph, tree in ((g, t), (g, SpanningTree(t.parent, nudged)),
+                            (g, SpanningTree(parent, t.parent_weight)),
+                            (generate("grid:5x6:logw", seed=0), t),
+                            (WeightedGraph(3, [(0, 1, 1.0)]), path), (triangle(), path),
+                            *((g2, t2) for g2, t2, _ in tree_edge_cases())):
+            assert tree_spans(graph, tree) == spans_by_key_search(graph, tree)
+
     def test_mismatch_rejected(self):
         g = triangle()
         t = SpanningTree.from_edges(3, [(0, 1, 2.0), (1, 2, 1.0)])  # wrong weight
@@ -551,6 +566,53 @@ class TestStretchReport:
         summary = json.loads((tmp_path / "s.json").read_text())
         assert summary["total"] == pytest.approx(rep.total)
         assert sum(summary["histogram"]["counts"]) == g.m
+
+
+def spans_by_key_search(g, t):
+    """Reference for tree_spans: each tree edge's u * n + v key looked up by
+    binary search among g's sorted keys, and the weights compared."""
+    if t.n != g.n or g.m < t.n - 1:
+        return False
+    n = g.n
+    child = np.flatnonzero(t.parent >= 0)
+    a = np.minimum(child, t.parent[child])
+    b = np.maximum(child, t.parent[child])
+    keys = g.edge_u * n + g.edge_v
+    want = a * n + b
+    pos = np.minimum(np.searchsorted(keys, want), g.m - 1)
+    return bool(np.array_equal(keys[pos], want)
+                and np.array_equal(g.edge_w[pos], t.parent_weight[child]))
+
+
+def tree_edge_cases():
+    """(g, t, held) for a maxw tree, which holds every tree edge; a maxw tree
+    of g with other weights, which holds none; and a tree with an edge that
+    is not in g, which holds all but that one."""
+    rng = np.random.default_rng(5)
+    g = generate("grid:20x20:logw", 0)
+    t = max_weight_spanning_tree(g)
+    yield g, t, g.n - 1
+    reweighted = WeightedGraph(g.n, [(u, v, w * rng.uniform(0.5, 2.0)) for u, v, w in g.edges])
+    yield g, max_weight_spanning_tree(reweighted), 0
+    edges = t.edges
+    edges.remove(next(e for e in edges if e[:2] == (0, 1)))
+    yield g, SpanningTree.from_edges(g.n, edges + [(0, 21, 1.0)]), g.n - 2
+
+
+class TestTreeEdgeMask:
+    @pytest.mark.parametrize("case", range(3))
+    def test_equal_to_scalar_parent_links(self, case):
+        g, t, held = list(tree_edge_cases())[case]
+        links = {}
+        for u in range(t.n):
+            p = int(t.parent[u])
+            if p >= 0:
+                links[min(u, p), max(u, p)] = float(t.parent_weight[u])
+        want = [links.get((u, v)) == w for u, v, w in g.edges]
+        mask = trees.tree_edge_mask(g, t)
+        assert mask.tolist() == want
+        assert np.count_nonzero(mask) == held
+        assert tree_spans(g, t) == (held == t.n - 1)
 
 
 class TestSpanningTreeStructure:
@@ -692,6 +754,13 @@ class TestSpanningTreeInit:
                 assert np.array_equal(got.up, up)
                 assert np.array_equal(got.depth, depth)
                 assert np.array_equal(got.resistance_prefix, prefix)
+
+    def test_infinite_weight_rejected(self):
+        # WeightedGraph rejects it too; as a tree edge it would be a short circuit
+        with pytest.raises(TreeError, match=r"^edge \(1, 0\) has nonpositive weight$"):
+            SpanningTree([-1, 0, 1], [1.0, np.inf, 2.0])
+        with pytest.raises(TreeError, match=r"^edge \(1, 0\) has nonpositive weight$"):
+            SpanningTree.from_edges(3, [(0, 1, np.inf), (1, 2, 2.0)])
 
     @pytest.mark.parametrize("case", [
         ([0, 0, 1, 2], [0.0, 1.0, 1.0, 1.0], 1),            # root's parent is not -1

@@ -19,16 +19,18 @@ from conftest import deep_tree, random_tree, root_path
 
 
 class TestFactor:
+    def test_factor_is_the_tree(self, rng):
+        t = random_tree(50, rng)
+        assert factor(t) is t
+
     def test_single_edge(self):
         t = SpanningTree.from_edges(2, [(0, 1, 1.0)])
-        f = factor(t)
-        assert f.elimination_order == [1]
-        assert f.pivot[1:] == [1.0]
+        assert t.order[:0:-1].tolist() == [1]
+        assert pivots(t) == [1.0]
 
     def test_star_pivots(self):
         t = SpanningTree.from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-        f = factor(t)
-        assert f.pivot[1:] == [1.0, 1.0, 1.0]
+        assert pivots(t) == [1.0, 1.0, 1.0]
 
     def test_children_before_parents(self, rng):
         t = random_tree(100, rng)
@@ -41,22 +43,20 @@ class TestFactor:
     def test_pivots_strictly_positive(self, rng):
         for _ in range(5):
             t = random_tree(int(rng.integers(2, 200)), rng, weights="logw")
-            f = factor(t)
-            assert min(f.pivot[1:]) > 0.0
+            assert min(pivots(t)) > 0.0
 
     @pytest.mark.parametrize("kind", ["random", "broom", "star"])
     def test_preorder_ranges_are_subtrees(self, kind, rng):
         n = 200
         t = deep_tree(kind, n, rng, 1)
-        f = factor(t)
-        assert sorted(f.preorder.tolist()) == list(range(n))
-        assert np.array_equal(f.preorder[f.slot], np.arange(n))
-        assert f.preorder[0] == t.root and f.last[0] == n - 1
+        assert sorted(t.order.tolist()) == list(range(n))
+        assert np.array_equal(t.order[t.slot], np.arange(n))
+        assert t.order[0] == t.root and t.last[0] == n - 1
         paths = [root_path(t, u) for u in range(n)]
         for v in range(n):
             subtree = {u for u in range(n) if v in paths[u]}
-            s = int(f.slot[v])
-            assert set(f.preorder[s:f.last[s] + 1].tolist()) == subtree
+            s = int(t.slot[v])
+            assert set(t.order[s:t.last[s] + 1].tolist()) == subtree
 
 
 def tree_laplacian_apply(t, x):
@@ -66,7 +66,13 @@ def tree_laplacian_apply(t, x):
 
 
 def f_order(t):
-    return factor(t).elimination_order
+    """Non-root vertices, children before parents (reverse preorder)."""
+    return t.order[:0:-1].tolist()
+
+
+def pivots(t):
+    """Leaf-elimination pivots of slots 1..n-1: the parent-edge weights."""
+    return t.parent_weight[t.order[1:]].tolist()
 
 
 class TestPseudoSolve:
@@ -170,10 +176,10 @@ def pseudo_solve_in_one_body(f, b):
     """Reference: pseudo_solve as one function body, before it was split into
     the two tree halves that PCG calls on their own."""
     b = np.asarray(b, dtype=np.float64)
-    prefix = np.cumsum(b[f.preorder] - b.sum() / f.n)
+    prefix = np.cumsum(b[f.order] - b.sum() / f.n)
     drop = np.zeros(f.n)
     np.subtract(prefix[f.last[1:]], prefix[:-1], out=drop[1:])
-    drop[1:] /= f.weight[1:]
+    drop[1:] /= f.parent_weight[f.order[1:]]
     exits = np.bincount(f.last[1:], weights=drop[1:], minlength=f.n)
     drop[1:] -= exits[:-1]
     x = np.cumsum(drop)[f.slot]
