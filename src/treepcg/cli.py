@@ -48,7 +48,6 @@ class ExperimentSpec:
     epsilon: float = 1e-8
     seeds: list = field(default_factory=lambda: [0])
     checks: str = "all"
-    out: str | None = None
     dense_cap: int = DEFAULT_DENSE_CAP
 
     def __post_init__(self):

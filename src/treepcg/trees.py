@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightedGraph, _jump, components, is_connected, pair_order, stable_order
-from .treesolver import root_path_sums
 
 
 class TreeError(ValueError):
@@ -126,11 +125,11 @@ class SpanningTree:
         self.parent_weight = parent_weight
         self.order = order
         self.slot = slot
-        self.last = _jump(last)
+        self.last = last = _jump(last)
         self.up = up
-        # a slot's depth is the number of non-root ranges [p, last[p]] holding it, a
-        # root-path sum of ones (exact below 2^53), which reads only n and last
-        self.depth = root_path_sums(self, np.ones(n - 1)).astype(np.int64)[slot]
+        # a slot's depth is the number of non-root ranges [p, last[p]] holding
+        # it; each opens at p and closes after last[p], so it is one prefix sum
+        self.depth = np.cumsum(np.r_[0, 1 - np.bincount(last[1:], minlength=n)[:-1]])[slot]
         self.resistance_prefix = prefix[slot]
         self._table = None
 

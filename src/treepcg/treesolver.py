@@ -22,12 +22,9 @@ two halves on their own, in slot order, with W^{-1/2} on each side (see
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-if TYPE_CHECKING:       # trees imports root_path_sums, for tree depths, from here
-    from .trees import SpanningTree
+from .trees import SpanningTree
 
 
 class TreeSolveError(ValueError):
