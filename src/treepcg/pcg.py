@@ -1,17 +1,17 @@
 """Preconditioned conjugate gradient with a spanning-tree preconditioner.
 
-Grounded at the tree's root, L_T^{-1} = F F^T with F = R W^{-1/2} (see
-``spectral``), so PCG with L_T^+ is plain CG on the split system
-F^T L_G F y = F^T b, with x = F y.  Since F^T L_T F = I, its matrix is
-I + F^T (L_G - L_T) F: the tree's own n-1 edges leave the multiply, and each
-iteration is one root-path prefix sum (F p), one Laplacian multiply over the
-off-tree edges only, and one subtree prefix sum (F^T), each O(n) or O(m - n).
-The vectors live in the tree's DFS-preorder slots 1..n-1, where both prefix
-sums are contiguous, so no vector is gathered into or out of that order
-while CG runs; x is accumulated in slot order from the F p that each
-multiply computes, and mapped back to vertices and centred once at the end.
-The split system has no null space (it is grounded), so nothing is
-re-centred per iteration.
+Grounded at the tree's root, L_T^{-1} = F F^T with F = R W^{-1/2}: in the
+tree's DFS-preorder slots R[s, c-1] = 1 iff c <= s <= last[c], c = 1..n-1,
+and W holds the parent-edge weights of slots 1..n-1 (see ``spectral``).
+PCG with L_T^+ is plain CG on the split system M y = F^T b, x = F y, whose
+matrix M = F^T L_G F = I + F^T (L_G - L_T) F is, in slot order, the dense
+oracle's; ``SplitSystem`` is its one construction.  The tree's own n-1
+edges leave the multiply: each iteration is one root-path prefix sum (F p),
+one Laplacian multiply over the off-tree edges only, and one subtree prefix
+sum (F^T), each O(n) or O(m - n), on vectors kept in slots 1..n-1, where
+both prefix sums are contiguous.  x is accumulated in slot order from the
+F p that each multiply computes, and mapped back to vertices and centred
+once at the end.  M is grounded, so nothing is re-centred per iteration.
 
 The stopping rule is the residual measure ||s_k|| = sqrt(r_k^T L_T^+ r_k),
 s_k = F^T r_k, relative to its value at the start; the target A-norm accuracy
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -162,43 +162,54 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-class _SignedEdges(NamedTuple):
-    """An edge list with weights of either sign, read by ``laplacian_apply``
-    exactly as it reads a WeightedGraph's."""
+class SplitSystem:
+    """The split system F^T L_G F = I + F^T (L_G - L_T) F of (g, t), built
+    once: L_G - L_T as a signed edge list in slot labels (``n``, ``edge_u``,
+    ``edge_v``, ``edge_w``, read by ``laplacian_apply`` as a WeightedGraph's),
+    and ``scale`` = W^{-1/2} on slots 1..n-1.  A tree edge that g holds with
+    the identical weight cancels and is left out; every other tree edge
+    enters with weight -w_T, so a tree that is not a subgraph of g, or that
+    carries other weights, still gives the right difference."""
 
-    n: int
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    edge_w: np.ndarray
+    def __init__(self, g: WeightedGraph, t: SpanningTree):
+        su, sv = t.slot[g.edge_u], t.slot[g.edge_v]
+        held = tree_edge_mask(g, t)
+        cancelled = np.zeros(t.n, dtype=bool)
+        cancelled[np.maximum(su, sv)[held]] = True      # a parent's slot precedes its child's
+        extra = np.flatnonzero(~cancelled[1:]) + 1
+        keep = ~held
+        self.n, self.t = t.n, t
+        self.edge_u = np.concatenate((su[keep], t.up[extra]))
+        self.edge_v = np.concatenate((sv[keep], extra))
+        self.edge_w = np.concatenate((g.edge_w[keep], -t.parent_weight[t.order[extra]]))
+        self.scale = 1.0 / np.sqrt(t.parent_weight[t.order[1:]])
+
+    def multiply(self, p: np.ndarray):
+        """(F p, M p) for p on slots 1..n-1; F p comes back in slot order."""
+        phi = root_path_sums(self.t, p * self.scale)
+        mp = subtree_sums(self.t, laplacian_apply(self, phi))
+        mp *= self.scale
+        mp += p
+        return phi, mp
+
+    def rhs(self, b: np.ndarray) -> np.ndarray:
+        """F^T b for b in vertex order."""
+        return subtree_sums(self.t, b[self.t.order]) * self.scale
+
+    def solution(self, x_slots: np.ndarray) -> np.ndarray:
+        """x_slots mapped to vertices and centred."""
+        x = x_slots[self.t.slot]
+        x -= x.sum() / self.n
+        return x
 
 
-def _off_tree(g: WeightedGraph, t: SpanningTree) -> _SignedEdges:
-    """L_G - L_T as a signed edge list in slot labels.  A tree edge that g
-    holds with the identical weight cancels and is left out; every other
-    tree edge enters with weight -w_T, so a tree that is not a subgraph of g,
-    or that carries other weights, still gives the right difference."""
-    su, sv = t.slot[g.edge_u], t.slot[g.edge_v]
-    held = tree_edge_mask(g, t)
-    cancelled = np.zeros(t.n, dtype=bool)
-    cancelled[np.maximum(su, sv)[held]] = True      # a parent's slot precedes its child's
-    extra = np.flatnonzero(~cancelled[1:]) + 1
-    keep = ~held
-    return _SignedEdges(
-        t.n,
-        np.concatenate((su[keep], t.up[extra])),
-        np.concatenate((sv[keep], extra)),
-        np.concatenate((g.edge_w[keep], -t.parent_weight[t.order[extra]])),
-    )
-
-
-def _split_multiply(off: _SignedEdges, t: SpanningTree, scale: np.ndarray, p: np.ndarray):
-    """(F p, F^T L_G F p) for p on slots 1..n-1, with F = R W^{-1/2} and
-    F^T L_G F = I + F^T (L_G - L_T) F; F p comes back in slot order."""
-    phi = root_path_sums(t, p * scale)
-    mp = subtree_sums(t, laplacian_apply(off, phi))
-    mp *= scale
-    mp += p
-    return phi, mp
+def _checked_vector(v, n: int, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (n,):
+        raise PcgError(f"{what} length {v.shape} does not match n={n}")
+    if not np.isfinite(v).all():
+        raise PcgError(f"{what} has nonfinite entries")
+    return v
 
 
 def pcg_solve(
@@ -218,11 +229,8 @@ def pcg_solve(
         raise PcgError(f"epsilon must lie in (0, 1), got {cfg.epsilon}")
     if cfg.max_iterations < 1:
         raise PcgError(f"max_iterations must be >= 1, got {cfg.max_iterations}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (g.n,):
-        raise PcgError(f"right-hand side length {b.shape} does not match n={g.n}")
-    if not np.isfinite(b).all():
-        raise PcgError("right-hand side has nonfinite entries")
+    b = _checked_vector(b, g.n, "right-hand side")
+    x_true = None if x_true is None else _checked_vector(x_true, g.n, "x_true")
     if t.n != g.n:
         raise PcgError("tree size does not match graph")
 
@@ -234,7 +242,7 @@ def pcg_solve(
 
     if x_true is not None:
         su, sv = t.slot[g.edge_u], t.slot[g.edge_v]
-        xt = np.asarray(x_true, dtype=np.float64).reshape(g.n)[t.order]   # n values or ValueError
+        xt = x_true[t.order]
 
         def a_norm(d):      # edge energy in slot labels (see the module docstring)
             return math.sqrt(float(g.edge_w @ np.square(d[su] - d[sv])))
@@ -244,12 +252,10 @@ def pcg_solve(
         def a_norm_rel_err(x):
             return a_norm(x - xt) / true_norm
 
-    off = _off_tree(g, t)
-    scale = 1.0 / np.sqrt(t.parent_weight[t.order[1:]])
+    split = SplitSystem(g, t)
     # x = F y accumulates in slot order; s = F^T r is the transformed residual
     x = np.zeros(g.n)
-    s = subtree_sums(t, bbar[t.order])
-    s *= scale
+    s = split.rhs(bbar)
     ss = float(s @ s)
     denom = math.sqrt(ss)
     history = [1.0] if cfg.record_history else None
@@ -264,7 +270,7 @@ def pcg_solve(
         kept[0] = s / denom
         h = 1
     while not converged and k < cfg.max_iterations:
-        phi, mp = _split_multiply(off, t, scale, p)
+        phi, mp = split.multiply(p)
         pmp = float(p @ mp)
         if not math.isfinite(pmp):
             raise PcgDivergenceError(f"nonfinite curvature at iteration {k}")
@@ -300,10 +306,8 @@ def pcg_solve(
     a_err = None
     if x_true is not None:
         a_err = a_hist[-1] if a_hist is not None else a_norm_rel_err(x)
-    x = x[t.slot]
-    x -= x.sum() / g.n
     return PcgOutcome(
-        x=x,
+        x=split.solution(x),
         iterations=k,
         converged=converged,
         centered_input=centered,

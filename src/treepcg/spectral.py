@@ -1,14 +1,16 @@
 """Dense brute-force oracle for the preconditioned spectrum at desk scale.
 
-Grounded at the tree's root, L_T^{-1} = R W^{-1} R^T: R[u, c] = 1 iff the
-non-root vertex c is u or an ancestor of u, and W holds the parent-edge
-weights.  With F = R W^{-1/2}, the nonzero generalized eigenvalues of
-(L_G, L_T) are those of F^T L_G F, one eigensolve with no pseudo-inverse.
-Rows of F come from the tree's DFS-preorder layout (each subtree a range of
-slots) and its parent-edge weights, independent of the LCA sparse table and
-root prefix sums behind the stretch report.
+Grounded at the tree's root, L_T^{-1} = R W^{-1} R^T.  In the tree's
+DFS-preorder slots, R[s, c-1] = 1 iff c <= s <= last[c], c = 1..n-1 (slot s
+lies in the subtree at slot c), and W holds the parent-edge weights of slots
+1..n-1.  With F = R W^{-1/2}, the nonzero generalized eigenvalues of
+(L_G, L_T) are those of M = F^T L_G F, one eigensolve with no pseudo-inverse.
+M is the matrix of ``pcg.SplitSystem``, the one construction, whose edges
+and W^{-1/2} the oracle reads; R comes from broadcast comparisons over the
+layout, not the solver's prefix sums, and is independent of the LCA sparse
+table and root prefix sums behind the stretch report.
 
-Since F^T L_T F = I exactly, F^T L_G F = I + C^T C, where C has one row
+Since F^T L_T F = I exactly, M = I + C^T C, where C has one row
 sqrt(w) (F[u] - F[v]) per off-tree edge (u, v, w).  That sum of positive
 semidefinite rank-one terms with entries exact to rounding is the one
 route: nothing cancels as in L_G F, where 1/sqrt(w) terms of very different
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DEFAULT_DENSE_CAP, GraphError, WeightedGraph, dense_laplacian, is_connected
-from .trees import SpanningTree, TreeError, tree_edge_mask, tree_spans
+from .pcg import SplitSystem
+from .trees import SpanningTree, TreeError, tree_spans
 
 
 @dataclass
@@ -63,45 +66,40 @@ def dense_tree_laplacian(t: SpanningTree) -> np.ndarray:
     return dense_laplacian(WeightedGraph(t.n, t.edges), cap=t.n)
 
 
-def _ancestor_rows(t: SpanningTree, vertices=None) -> np.ndarray:
-    """Rows ``vertices`` (default: all) of R[:, non-root] as int8: R[u, c] = 1
-    iff c is u or an ancestor of u.  u lies in the subtree of c iff
-    slot[c] <= slot[u] <= last[slot[c]], so R is two broadcast comparisons
-    (of int32, which numpy compares twice as fast as int64)."""
-    slot = t.slot.astype(np.int32)
-    lo = slot[np.arange(t.n) != t.root]
-    s = (slot if vertices is None else slot[vertices])[:, None]
-    R = lo <= s
-    R &= s <= t.last.astype(np.int32)[lo]
+def _ancestor_rows(t: SpanningTree, slots=None) -> np.ndarray:
+    """Rows ``slots`` (default: all) of R as int8: R[s, c-1] = 1 iff
+    c <= s <= last[c], two broadcast comparisons (of int32, which numpy
+    compares twice as fast as int64)."""
+    c = np.arange(1, t.n, dtype=np.int32)
+    s = (np.arange(t.n) if slots is None else slots).astype(np.int32)[:, None]
+    R = c <= s
+    R &= s <= t.last[1:].astype(np.int32)
     return R.view(np.int8)
-
-
-def _sqrt_tree_weights(t: SpanningTree) -> np.ndarray:
-    return np.sqrt(t.parent_weight[np.arange(t.n) != t.root])
 
 
 _BLOCK_RATIO = 4  # rows of C per block, per tree edge
 
 
-def _block_gram(g: WeightedGraph, t: SpanningTree, e: np.ndarray) -> np.ndarray:
+def _block_gram(split: SplitSystem, e: slice) -> np.ndarray:
     """C^T C over the rows of C for the edges ``e``: R[u] - R[v] is +-1 on the u-v tree path."""
-    C = np.multiply(_ancestor_rows(t, g.edge_u[e]) - _ancestor_rows(t, g.edge_v[e]),
-                    np.sqrt(g.edge_w[e])[:, None])
-    C /= _sqrt_tree_weights(t)
+    t = split.t
+    C = np.multiply(_ancestor_rows(t, split.edge_u[e]) - _ancestor_rows(t, split.edge_v[e]),
+                    np.sqrt(split.edge_w[e])[:, None])
+    C *= split.scale
     return C.T @ C
 
 
-def _split_matrix(g: WeightedGraph, t: SpanningTree) -> np.ndarray:
-    """I + C^T C (module docstring), C^T C summed over blocks of C's rows into
-    the first block's product.  A tree edge's row of C would be a unit vector,
-    so only off-tree edges enter C (with none, this is I).  Unsymmetrised:
-    ``eigvalsh`` reads only the lower triangle."""
-    off = np.flatnonzero(~tree_edge_mask(g, t))
-    rows = _BLOCK_RATIO * (g.n - 1)
-    blocks = (off[lo:lo + rows] for lo in range(0, len(off) or 1, rows))
-    M = _block_gram(g, t, next(blocks))
+def _split_matrix(split: SplitSystem) -> np.ndarray:
+    """M = I + C^T C (module docstring) in slot order, C^T C summed over
+    blocks of C's rows into the first block's product.  C's rows are the
+    split system's edges, which are g's off-tree edges when the tree spans g
+    with matching weights (with none, M is I).  Unsymmetrised: ``eigvalsh``
+    reads only the lower triangle."""
+    rows = _BLOCK_RATIO * (split.n - 1)
+    blocks = (slice(lo, lo + rows) for lo in range(0, len(split.edge_w) or 1, rows))
+    M = _block_gram(split, next(blocks))
     for e in blocks:
-        M += _block_gram(g, t, e)
+        M += _block_gram(split, e)
     M[np.diag_indices_from(M)] += 1.0
     return M
 
@@ -119,7 +117,7 @@ def generalized_spectrum(
         raise GraphError("graph must be connected")
     if not tree_spans(g, t):
         raise TreeError("tree does not span the graph with matching weights")
-    ev = np.linalg.eigvalsh(_split_matrix(g, t))
+    ev = np.linalg.eigvalsh(_split_matrix(SplitSystem(g, t)))
     return SpectralSummary(
         eigenvalues=ev,
         trace=float(ev.sum()),

@@ -124,17 +124,17 @@ class TestVerify:
     # sha256 of the reports for seeds 0-3.  They cover every field, the
     # floats trace, trace_abs_diff, lambda_min and lambda_max included, so
     # the verdicts above are pinned separately: a digest can move with the
-    # last bits of the oracle's arithmetic, a verdict may not.  The unit
-    # digests were recorded at the commit before the reorthogonalization
-    # became a block projection, the logw ones when the oracle began to form
-    # I + C^T C (their floats moved by <= 2e-13 relative).
+    # last bits of the oracle's arithmetic, a verdict may not.  All six were
+    # re-recorded when the oracle began to read the solver's SplitSystem and
+    # form I + C^T C in slot order (their floats moved by <= 1.7e-13
+    # relative, lambda_min the most; every verdict unchanged).
     @pytest.mark.parametrize("spec, tree, digest", [
-        ("grid:20x20:logw", "maxw", "8e293ad0e9ba0627975a9aa18b0300558e769a04e312421788621f404ef5c8a1"),
-        ("grid:20x20:logw", "akpw", "bc0907bf7f5324cf13f18ce7079bf036a455b7a37ae040dcca5bb2d59476a691"),
-        ("gnp:n=450,p=0.02:logw", "maxw", "c871e84659d2ac2844a42aa4807bf264c32a715e625ab72ee90cf9389eb814f2"),
-        ("gnp:n=450,p=0.02:logw", "akpw", "2f3fd7817ded5a94074a4c35dbe0079119d54235dacfa8ecce5b49977fba7a81"),
-        ("regular:n=400,d=4:unit", "maxw", "56ea8dff609c353ecf284042571e58102c4e9d6677ceee86ae3f89ed2ce5f656"),
-        ("regular:n=400,d=4:unit", "akpw", "b0b87b19263ebac8015722f24b7bf3b02f3b162ed80d05a45c042fc2a4f5d6c2"),
+        ("grid:20x20:logw", "maxw", "551125fc09caca592f8e624fde4498e8c8db951fc3ec62a29c34c0b455fc4497"),
+        ("grid:20x20:logw", "akpw", "c85241de047bec11558a312cd40db0fd9837ed0e38f7e9744b82a10379facf1a"),
+        ("gnp:n=450,p=0.02:logw", "maxw", "2defc184ebf76643e9883785c09706dfa009efa85d17ffa170794e58b504b3e1"),
+        ("gnp:n=450,p=0.02:logw", "akpw", "24312c470a496283ef7348db35fa40954bd036ca8efd283c949a29e5dad2f1c5"),
+        ("regular:n=400,d=4:unit", "maxw", "2279fb9ce1689108aebdce02c11b29ca6592a13a272d335935e7f9761090a8b9"),
+        ("regular:n=400,d=4:unit", "akpw", "27817a2f7e34091df62ca24a0616642f678cd429ca0b4e61d2dc7b87a5b57bbb"),
     ])
     def test_desk_report_bytes_pinned(self, tmp_path, spec, tree, digest):
         out = tmp_path / "r.json"

@@ -25,9 +25,9 @@ from treepcg import (
 )
 from treepcg.cli import build_tree
 from treepcg.graphs import laplacian_apply
-from treepcg.spectral import (_ancestor_rows, _sqrt_tree_weights, exact_qul, generalized_spectrum,
-                              tail_count)
-from treepcg.treesolver import pseudo_solve, subtree_sums
+from treepcg.pcg import SplitSystem
+from treepcg.spectral import _split_matrix, exact_qul, generalized_spectrum, tail_count
+from treepcg.treesolver import pseudo_solve
 
 
 def triangle_setup():
@@ -196,6 +196,17 @@ class TestPcgSolve:
         with pytest.raises(PcgError, match="^right-hand side has nonfinite entries$"):
             pcg_solve(g, factor(t), np.array([1.0, bad, -1.0]), PcgConfig())
 
+    @pytest.mark.parametrize("x_true, message", [
+        (np.zeros((3, 1)), r"^x_true length \(3, 1\) does not match n=3$"),
+        (np.zeros(4), r"^x_true length \(4,\) does not match n=3$"),
+        (np.array([1.0, np.nan, -1.0]), "^x_true has nonfinite entries$"),
+        (np.array([1.0, 0.0, np.inf]), "^x_true has nonfinite entries$"),
+    ])
+    def test_bad_x_true_rejected(self, x_true, message):
+        g, t = triangle_setup()
+        with pytest.raises(PcgError, match=message):
+            pcg_solve(g, factor(t), np.array([1.0, 0.0, -1.0]), PcgConfig(), x_true=x_true)
+
     def test_outcome_json_keys(self):
         g, t = triangle_setup()
         out = pcg_solve(g, factor(t), np.array([1.0, 0.0, -1.0]), PcgConfig(epsilon=1e-8))
@@ -224,7 +235,7 @@ class TestTraceBoundaries:
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                if name == "laplacian_apply" and len(args[0].edge_w) == g.m - g.n + 1:
+                if name == "laplacian_apply" and isinstance(args[0], SplitSystem):
                     calls["laplacian_apply_off_tree"] += 1
                 return original(*args, **kwargs)
             return wrapper
@@ -259,28 +270,22 @@ class TestSplitSystem:
     factor of the spectral oracle, multiplying by the off-tree edges only."""
 
     @staticmethod
-    def operator(g, f):
+    def operator(split):
         """The dense matrix of the per-iteration multiply, in slot order."""
-        off = treepcg.pcg._off_tree(g, f)
-        scale = 1.0 / np.sqrt(f.parent_weight[f.order[1:]])
-        eye = np.eye(g.n - 1)
-        return np.array([treepcg.pcg._split_multiply(off, f, scale, e)[1] for e in eye]).T
+        return np.array([split.multiply(e)[1] for e in np.eye(split.n - 1)]).T
 
     @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
                                       "regular:n=400,d=4:unit"])
     @pytest.mark.parametrize("tree", ["maxw", "akpw"])
     def test_iterates_on_the_oracles_matrix(self, spec, tree):
-        # measured on these six: entries within 1.8e-15 of the largest, and
+        # measured on these six: entries within 6.6e-16 of the largest, and
         # traces within 1.2e-15 of the total stretch, relative
         g = generate(spec, 0)
         t = build_tree(g, tree, 0)
-        f = factor(t)
-        F = _ancestor_rows(t) / _sqrt_tree_weights(t)
-        want = F.T @ dense_laplacian(g) @ F
-        # slot p > 0 holds vertex order[p], column order[p] - 1 of F
-        cols = f.order[1:] - (f.order[1:] > t.root)
-        got = self.operator(g, f)
-        assert np.abs(got - want[np.ix_(cols, cols)]).max() <= 1e-13 * np.abs(want).max()
+        split = SplitSystem(g, factor(t))
+        want = _split_matrix(split)
+        got = self.operator(split)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         st = stretch_report(g, t).total
         assert abs(np.trace(got) - st) <= 1e-13 * st
 
@@ -293,7 +298,7 @@ class TestSplitSystem:
         x_true -= x_true.mean()
         out = pcg_solve(g, f, b, PcgConfig(epsilon=1e-8, max_iterations=4 * g.n), x_true=x_true)
         assert out.converged and out.a_norm_error <= 1e-8
-        return len(treepcg.pcg._off_tree(g, f).edge_w)
+        return len(SplitSystem(g, f).edge_w)
 
     def test_tree_with_other_weights(self, rng):
         # every tree edge lies in g with another weight, so none cancels
@@ -387,15 +392,14 @@ def loop_split_pcg(g, f, b, cfg, x_true):
     iterations, converged, a_norm_history) and the kept rows, normalised."""
     true_norm = math.sqrt(float(x_true @ laplacian_apply(g, x_true)))
 
+    split = SplitSystem(g, f)
+
     def a_norm_rel_err(x_slots):
-        x = x_slots[f.slot] - x_slots.sum() / g.n
-        d = x - x_true
+        d = split.solution(x_slots) - x_true
         return math.sqrt(max(float(d @ laplacian_apply(g, d)), 0.0)) / true_norm
 
-    off = treepcg.pcg._off_tree(g, f)
-    scale = 1.0 / np.sqrt(f.parent_weight[f.order[1:]])
     x = np.zeros(g.n)
-    s = subtree_sums(f, (b - b.mean())[f.order]) * scale
+    s = split.rhs(b - b.mean())
     ss = float(s @ s)
     denom = math.sqrt(ss)
     a_hist = [a_norm_rel_err(x)]
@@ -404,7 +408,7 @@ def loop_split_pcg(g, f, b, cfg, x_true):
     converged = False
     kept = [s / denom]
     while k < cfg.max_iterations:
-        phi, mp = treepcg.pcg._split_multiply(off, f, scale, p)
+        phi, mp = split.multiply(p)
         pmp = float(p @ mp)
         if not math.isfinite(pmp) or pmp <= 0.0:
             raise PcgDivergenceError(f"curvature {pmp} at iteration {k}")
@@ -426,7 +430,7 @@ def loop_split_pcg(g, f, b, cfg, x_true):
         beta = ss_new / ss
         ss = ss_new
         p = s + beta * p
-    return (x[f.slot] - x.sum() / g.n, k, converged, a_hist), np.array(kept)
+    return (split.solution(x), k, converged, a_hist), np.array(kept)
 
 
 def solve_keeping_rows(g, f, b, cfg, x_true=None):

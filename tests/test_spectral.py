@@ -19,21 +19,31 @@ from treepcg import (
     tail_count,
 )
 from treepcg import spectral
-from treepcg.spectral import _ancestor_rows, _sqrt_tree_weights
+from treepcg.pcg import SplitSystem
+from treepcg.spectral import _ancestor_rows
 from treepcg.trees import path_resistance
 
 from conftest import deep_tree, random_tree, root_path
 
 
-def row_copy_path_factor(t):
-    """F = R[:, non-root] / sqrt(parent weights) as a per-row loop built it:
-    each row copies its parent's row, parents first, and sets its own
-    column."""
+def row_copy_ancestors(t):
+    """R[u, c] = 1 iff the non-root vertex c is u or an ancestor of u, in
+    vertex order, as a per-row loop built it: each row copies its parent's
+    row, parents first, and sets its own column."""
     R = np.zeros((t.n, t.n))
     for u in t.order[1:].tolist():
         R[u] = R[t.parent[u]]
         R[u, u] = 1.0
-    return np.delete(R, t.root, axis=1) / np.sqrt(np.delete(t.parent_weight, t.root))
+    return np.delete(R, t.root, axis=1)
+
+
+def slot_ancestors_by_vertex(t):
+    """_ancestor_rows(t), slot-order R, with rows and columns mapped to vertex
+    ids: slot p > 0 holds vertex order[p], column order[p] - 1 of R by vertex."""
+    cols = t.order[1:] - (t.order[1:] > t.root)
+    R = np.zeros((t.n, t.n - 1))
+    R[:, cols] = _ancestor_rows(t)[t.slot]
+    return R
 
 
 def triangle_setup():
@@ -196,7 +206,7 @@ class TestTreePathFactor:
                             lambda *a, **k: calls.append(1) or dense(*a, **k))
         real = spectral._block_gram
         monkeypatch.setattr(spectral, "_block_gram",
-                            lambda *a: grams.append(len(a[2])) or real(*a))
+                            lambda split, e: grams.append(len(split.edge_w[e])) or real(split, e))
         g = WeightedGraph(n, [(u, v, 1.0 + u + v) for u in range(n) for v in range(u + 1, n)])
         t = SpanningTree.from_edges(n, [(u, u + 1, 2.0 + 2 * u) for u in range(n - 1)])
         s = generalized_spectrum(g, t)
@@ -226,8 +236,7 @@ class TestTreePathFactor:
         for seed in (0, 1, 2):
             g = generate(spec, seed)
             for t in (max_weight_spanning_tree(g), low_stretch_heuristic_tree(g, seed)):
-                assert np.array_equal(_ancestor_rows(t) / _sqrt_tree_weights(t),
-                                      row_copy_path_factor(t))
+                assert np.array_equal(slot_ancestors_by_vertex(t), row_copy_ancestors(t))
         for kind in ("path", "star", "random", "broom"):
             t = deep_tree(kind, 60, rng, 4)
             perm = rng.permutation(t.n)       # relabelled, rooted elsewhere than 0
@@ -236,16 +245,17 @@ class TestTreePathFactor:
             weight = np.empty(t.n)
             weight[perm] = t.parent_weight
             r = SpanningTree(parent, weight, root=int(perm[0]))
-            assert np.array_equal(_ancestor_rows(r) / _sqrt_tree_weights(r), row_copy_path_factor(r))
+            assert np.array_equal(slot_ancestors_by_vertex(r), row_copy_ancestors(r))
 
     def test_factor_inverts_grounded_tree_laplacian(self, rng):
         for kind in ("path", "star", "random", "broom"):
             t = SpanningTree.from_edges(50, deep_tree(kind, 50, rng, 1).edges, root=7)
-            F = _ancestor_rows(t) / _sqrt_tree_weights(t)
-            keep = np.arange(t.n) != t.root
-            assert np.allclose(F[keep] @ F[keep].T @ dense_tree_laplacian(t)[np.ix_(keep, keep)],
+            # F in slot order: row p > 0 is vertex order[p], and slot 0 the root
+            F = _ancestor_rows(t) * SplitSystem(WeightedGraph(t.n, t.edges), t).scale
+            inner = t.order[1:]
+            assert np.allclose(F[1:] @ F[1:].T @ dense_tree_laplacian(t)[np.ix_(inner, inner)],
                                np.eye(t.n - 1), atol=1e-9)
-            assert not F[t.root].any()
+            assert not F[0].any()
 
     @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
                                       "regular:n=400,d=4:unit"])
