@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,7 @@ class ExperimentSpec:
             raise CliError(f"unknown checks selector {self.checks!r}")
         if not self.seeds:
             raise CliError("at least one seed is required")
+        _check_seeds(self.seeds, self.seeds)
         if not (0.0 < self.epsilon < 1.0):
             raise CliError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
@@ -85,58 +88,13 @@ def _seeded_rhs(n: int, seed: int) -> np.ndarray:
 
 
 def run_verify(spec: ExperimentSpec) -> dict:
-    """Run the full oracle check suite over every seed; returns the report."""
+    """Run the full oracle check suite over every seed; returns the report.
+
+    The seeds are certified across the CPUs this process may use
+    (``_over_seeds``); the report is the same as from one process.
+    """
     gen = parse_generator_spec(spec.generator)
-    records = []
-    failures = 0
-    for seed in spec.seeds:
-        g = generate(gen, seed)
-        t = build_tree(g, spec.tree_method, seed)
-        rep = stretch_report(g, t)
-        record = {"seed": seed, "n": g.n, "m": g.m, "stretch_total": rep.total}
-        ok = True
-        s = generalized_spectrum(g, t, cap=spec.dense_cap)
-        if spec.checks in ("trace", "all"):
-            diff = abs(s.trace - rep.total)
-            tol = 1e-9 * max(1.0, rep.total)
-            record["trace"] = s.trace
-            record["trace_abs_diff"] = diff
-            record["trace_ok"] = diff <= tol
-            ok = ok and record["trace_ok"]
-        if spec.checks in ("tails", "all"):
-            grid = np.logspace(0.0, math.log10(2.0 * s.lambda_max), 20)
-            violations = sum(
-                1 for thr in grid if tail_count(s, float(thr)) > rep.total / float(thr)
-            )
-            record["tail_violations"] = violations
-            record["lambda_min"] = s.lambda_min
-            record["lambda_max"] = s.lambda_max
-            record["tails_ok"] = violations == 0
-            ok = ok and record["tails_ok"]
-        if spec.checks in ("pcg-bound", "all"):
-            b = _seeded_rhs(g.n, seed)
-            # grounded at vertex 0, then shifted to the mean-zero (pinv) solution
-            x_true = np.zeros(g.n)
-            x_true[1:] = np.linalg.solve(dense_laplacian(g, cap=spec.dense_cap)[1:, 1:], b[1:])
-            x_true -= x_true.mean()
-            cfg = _pcg_config(g, spec.epsilon, record_history=True, reorthogonalize=True)
-            out = pcg_solve(g, factor(t), b, cfg, x_true=x_true)
-            observed = _first_accurate_iteration(out, spec.epsilon)
-            exact = exact_spectrum_bound(s, rep.total, spec.epsilon)
-            st_only = stretch_only_bound(rep.total, spec.epsilon)
-            record["iterations_observed"] = observed
-            record["bound_exact_spectrum"] = exact.k_bound
-            record["bound_stretch_only"] = st_only.k_bound
-            record["pcg_ok"] = (
-                observed is not None
-                and observed <= exact.k_bound
-                and observed <= st_only.k_bound
-            )
-            ok = ok and record["pcg_ok"]
-        record["ok"] = ok
-        if not ok:
-            failures += 1
-        records.append(record)
+    records = _over_seeds(_verify_seed, (spec, gen), spec.seeds)
     return {
         "spec": {
             "generator": str(gen),
@@ -147,8 +105,57 @@ def run_verify(spec: ExperimentSpec) -> dict:
             "dense_cap": spec.dense_cap,
         },
         "records": records,
-        "failures": failures,
+        "failures": sum(not r["ok"] for r in records),
     }
+
+
+def _verify_seed(spec: ExperimentSpec, gen, seed: int) -> dict:
+    """One seed's record: the checks ``spec.checks`` selects, and ``ok``."""
+    g = generate(gen, seed)
+    t = build_tree(g, spec.tree_method, seed)
+    rep = stretch_report(g, t)
+    record = {"seed": seed, "n": g.n, "m": g.m, "stretch_total": rep.total}
+    ok = True
+    s = generalized_spectrum(g, t, cap=spec.dense_cap)
+    if spec.checks in ("trace", "all"):
+        diff = abs(s.trace - rep.total)
+        tol = 1e-9 * max(1.0, rep.total)
+        record["trace"] = s.trace
+        record["trace_abs_diff"] = diff
+        record["trace_ok"] = diff <= tol
+        ok = ok and record["trace_ok"]
+    if spec.checks in ("tails", "all"):
+        grid = np.logspace(0.0, math.log10(2.0 * s.lambda_max), 20)
+        violations = sum(
+            1 for thr in grid if tail_count(s, float(thr)) > rep.total / float(thr)
+        )
+        record["tail_violations"] = violations
+        record["lambda_min"] = s.lambda_min
+        record["lambda_max"] = s.lambda_max
+        record["tails_ok"] = violations == 0
+        ok = ok and record["tails_ok"]
+    if spec.checks in ("pcg-bound", "all"):
+        b = _seeded_rhs(g.n, seed)
+        # grounded at vertex 0, then shifted to the mean-zero (pinv) solution
+        x_true = np.zeros(g.n)
+        x_true[1:] = np.linalg.solve(dense_laplacian(g, cap=spec.dense_cap)[1:, 1:], b[1:])
+        x_true -= x_true.mean()
+        cfg = _pcg_config(g, spec.epsilon, record_history=True, reorthogonalize=True)
+        out = pcg_solve(g, factor(t), b, cfg, x_true=x_true)
+        observed = _first_accurate_iteration(out, spec.epsilon)
+        exact = exact_spectrum_bound(s, rep.total, spec.epsilon)
+        st_only = stretch_only_bound(rep.total, spec.epsilon)
+        record["iterations_observed"] = observed
+        record["bound_exact_spectrum"] = exact.k_bound
+        record["bound_stretch_only"] = st_only.k_bound
+        record["pcg_ok"] = (
+            observed is not None
+            and observed <= exact.k_bound
+            and observed <= st_only.k_bound
+        )
+        ok = ok and record["pcg_ok"]
+    record["ok"] = ok
+    return record
 
 
 def _first_accurate_iteration(outcome, epsilon):
@@ -158,6 +165,106 @@ def _first_accurate_iteration(outcome, epsilon):
         if err <= epsilon:
             return k
     return None
+
+
+# Worker processes of _over_seeds as (process, connection) pairs: started by
+# the first call that can use them and kept, so that later calls find warm
+# interpreters.  Daemonic, so multiprocessing ends them when this process exits.
+# One call at a time talks to them, or threads would read each other's replies.
+_WORKERS = []
+_WORKERS_LOCK = threading.Lock()
+
+
+def _over_seeds(fn, args, seeds) -> list:
+    """``[fn(*args, seed) for seed in seeds]``, computed across the CPUs this
+    process may use.
+
+    The seeds are cut into contiguous shares, one per process: this process
+    takes the first, worker processes the others.  Results come back in seed
+    order, and the error raised is the one of the earliest seed that fails,
+    as in the plain loop.  There is one process per usable CPU that BLAS
+    leaves free, and at most one per seed.  Unless the environment caps
+    BLAS's threads, BLAS takes every CPU itself and no worker starts: each
+    process's BLAS threads would contend with the others' (verify on the
+    desk specs ran 2x slower in two processes than in one).
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = max(1, min(len(seeds), cpus // _blas_threads(cpus)))
+    cuts = [len(seeds) * i // k for i in range(k + 1)]
+    shares = [list(seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
+    with _WORKERS_LOCK:
+        conns = _workers(k - 1)
+        try:
+            for conn, share in zip(conns, shares[1:]):
+                conn.send((fn, args, share))
+            results = [fn(*args, seed) for seed in shares[0]]
+            replies = [conn.recv() for conn in conns]
+        except BaseException:
+            _stop_workers()  # a reply still owed would answer the next call
+            raise
+    for value, worker_traceback in replies:
+        if worker_traceback is not None:
+            raise value from RuntimeError(f"in a worker process:\n{worker_traceback}")
+        results.extend(value)
+    return results
+
+
+def _blas_threads(cpus: int) -> int:
+    """The threads BLAS runs in each process: as the first of its usual
+    variables that is set says, else one per usable CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+def _workers(count: int) -> list:
+    """Connections to ``count`` worker processes, starting the missing ones."""
+    if len(_WORKERS) < count:
+        import multiprocessing
+
+        # forked, not spawned: a spawned worker would first re-run the
+        # caller's main script, which need not guard its top level; a forked
+        # one starts with every module imported, as it was at the fork.  A
+        # fork copies only the calling thread, so a caller that runs threads
+        # makes its first multi-seed call before it starts them.
+        ctx = multiprocessing.get_context("fork")
+        while len(_WORKERS) < count:
+            conn, worker_end = ctx.Pipe()
+            process = ctx.Process(target=_serve, args=(worker_end, conn), daemon=True)
+            process.start()
+            worker_end.close()
+            _WORKERS.append((process, conn))
+    return [conn for _, conn in _WORKERS[:count]]
+
+
+def _stop_workers() -> None:
+    while _WORKERS:
+        process, conn = _WORKERS.pop()
+        conn.close()
+        process.terminate()
+        process.join()
+
+
+def _serve(conn, callers_end) -> None:
+    """A worker's loop: run each ``(fn, args, share)`` sent down ``conn`` and
+    send back ``(results, None)``, or ``(exception, traceback text)``."""
+    import signal
+    import traceback
+
+    callers_end.close()  # the fork's copy: with it open, the caller's exit would bring no EOF
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    while True:
+        try:
+            fn, args, share = conn.recv()
+        except EOFError:  # the caller has gone
+            return
+        try:
+            reply = [fn(*args, seed) for seed in share], None
+        except Exception as exc:
+            reply = exc, traceback.format_exc()
+        conn.send(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +367,17 @@ def _parse_seeds(text) -> list:
         raise CliError(f"bad seeds list {text!r}") from exc
     if not seeds:
         raise CliError(f"bad seeds list {text!r}: at least one seed is required")
-    if any(s < 0 for s in seeds):
-        raise CliError(f"bad seeds list {text!r}: seeds must be nonnegative")
+    _check_seeds(seeds, text)
     return seeds
+
+
+def _check_seeds(seeds, shown) -> None:
+    """Raise ``CliError``, naming the list as ``shown``, unless every seed is
+    a nonnegative ``int``."""
+    if any(not isinstance(s, int) or isinstance(s, bool) for s in seeds):
+        raise CliError(f"bad seeds list {shown!r}")
+    if any(s < 0 for s in seeds):
+        raise CliError(f"bad seeds list {shown!r}: seeds must be nonnegative")
 
 
 _DEFAULTS = {

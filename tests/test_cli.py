@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,18 @@ class TestExperimentSpec:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(CliError, match="epsilon"):
             ExperimentSpec(generator="grid:3x3:unit", epsilon=2.0)
+
+    # at construction, before any seed's work starts, in --seeds' wording
+    @pytest.mark.parametrize("seeds, message", [
+        ([1.5], "bad seeds list [1.5]"),
+        ([0, True], "bad seeds list [0, True]"),
+        ([-1], "bad seeds list [-1]: seeds must be nonnegative"),
+        ([2, -3], "bad seeds list [2, -3]: seeds must be nonnegative"),
+    ])
+    def test_rejects_bad_seed(self, seeds, message):
+        with pytest.raises(CliError) as info:
+            ExperimentSpec(generator="grid:3x3:unit", seeds=seeds)
+        assert str(info.value) == message
 
 
 class TestVerify:
@@ -135,7 +148,8 @@ class TestVerify:
         ("gnp:n=450,p=0.02:logw", "akpw", "24312c470a496283ef7348db35fa40954bd036ca8efd283c949a29e5dad2f1c5"),
         ("regular:n=400,d=4:unit", "maxw", "2279fb9ce1689108aebdce02c11b29ca6592a13a272d335935e7f9761090a8b9"),
         ("regular:n=400,d=4:unit", "akpw", "27817a2f7e34091df62ca24a0616642f678cd429ca0b4e61d2dc7b87a5b57bbb"),
-    ])
+    ], ids=[f"{spec}-{tree}" for spec in ("grid:20x20:logw", "gnp:n=450,p=0.02:logw",
+                                          "regular:n=400,d=4:unit") for tree in ("maxw", "akpw")])
     def test_desk_report_bytes_pinned(self, tmp_path, spec, tree, digest):
         out = tmp_path / "r.json"
         assert main(["verify", "--gen", spec, "--tree", tree, "--seeds", "0,1,2,3",
@@ -165,6 +179,168 @@ class TestVerify:
         assert main(["verify", "--gen", "grid:banana:unit"]) == 2
         err = capsys.readouterr().err
         assert "grid" in err and "banana" in err
+
+
+def _python(code, *args):
+    """Run ``code`` in a fresh interpreter on this checkout's package, with
+    BLAS on one thread, so that verify may start worker processes."""
+    src = str(Path(treepcg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def _running(pid) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="verify starts worker processes only with two usable CPUs")
+
+# seeds 0-5 give gnp:n=60,p=0.04:logw giant components of 51, 56, 45, 52,
+# 53 and 54 vertices, so a dense cap fails some seeds, each in its own words
+_FIRST_ERROR = r"""
+import json, sys
+from treepcg.cli import ExperimentSpec, run_verify
+spec = dict(generator="gnp:n=60,p=0.04:logw", dense_cap=int(sys.argv[2]))
+seeds = json.loads(sys.argv[1])
+first = None
+for seed in seeds:
+    try:
+        run_verify(ExperimentSpec(seeds=[seed], **spec))
+    except Exception as exc:
+        first = first or (type(exc).__name__, str(exc))
+try:
+    run_verify(ExperimentSpec(seeds=seeds, **spec))
+except Exception as exc:
+    print(json.dumps([first, (type(exc).__name__, str(exc))]))
+"""
+
+# a 2-seed run, twice, then a 2-seed run whose second seed (in the worker)
+# raises, uncaught when sys.argv[1] is "raise"
+_LIFECYCLE = r"""
+import json, multiprocessing, sys
+from treepcg.cli import ExperimentSpec, run_verify
+pids = []
+for _ in range(2):
+    run_verify(ExperimentSpec(generator="grid:6x6:logw", seeds=[0, 1]))
+    pids.append([p.pid for p in multiprocessing.active_children()])
+print(json.dumps(pids), flush=True)
+if sys.argv[1] == "raise":
+    run_verify(ExperimentSpec(generator="gnp:n=60,p=0.04:logw", seeds=[2, 1], dense_cap=50))
+"""
+
+
+# four threads share the workers, five runs each, after one run has
+# started them; each thread's reports must be its spec's own
+_THREADS = r"""
+import json, sys, threading
+from treepcg.cli import ExperimentSpec, run_verify
+specs = [ExperimentSpec(generator=g, seeds=[0, 1, 2]) for g in
+         ("grid:6x6:logw", "grid:7x5:logw", "gnp:n=40,p=0.2:logw", "regular:n=30,d=3:unit")]
+want = [run_verify(spec) for spec in specs]
+got = [[] for _ in specs]
+sys.setswitchinterval(1e-5)
+threads = [threading.Thread(target=lambda i=i: [got[i].append(run_verify(specs[i])) for _ in range(5)])
+           for i in range(len(specs))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(json.dumps([[r == want[i] for r in rs] for i, rs in enumerate(got)]))
+"""
+
+
+class TestVerifyAcrossProcesses:
+    """verify certifies its seeds in worker processes too; none of it may
+    show in a report, an error or a process left behind.  Each case runs in
+    its own interpreter with BLAS on one thread, which is when workers start."""
+
+    @two_cpus
+    @pytest.mark.parametrize("spec, tree", [("grid:20x20:logw", "maxw"),
+                                            ("regular:n=400,d=4:unit", "akpw")])
+    def test_report_is_the_single_seed_reports_concatenated(self, spec, tree):
+        code = (
+            "import json, multiprocessing, sys\n"
+            "from treepcg.cli import ExperimentSpec, run_verify\n"
+            "spec = dict(generator=sys.argv[1], tree_method=sys.argv[2])\n"
+            "report = run_verify(ExperimentSpec(seeds=[0, 1, 2, 3], **spec))\n"
+            "workers = len(multiprocessing.active_children())\n"
+            "singles = [run_verify(ExperimentSpec(seeds=[s], **spec)) for s in range(4)]\n"
+            "print(json.dumps([workers, report, singles]))\n"
+        )
+        out = _python(code, spec, tree)
+        assert out.returncode == 0, out.stderr
+        workers, report, singles = json.loads(out.stdout)
+        assert workers >= 1
+        assert report["spec"]["seeds"] == [0, 1, 2, 3]
+        assert report["records"] == [r for single in singles for r in single["records"]]
+        assert report["failures"] == sum(single["failures"] for single in singles) == 0
+
+    @two_cpus
+    @pytest.mark.parametrize("seeds, cap, error", [
+        ([0, 1, 2, 3], 40, "n=51 exceeds dense cap 40"),   # every seed raises
+        ([0, 2, 4, 5], 52, "n=53 exceeds dense cap 52"),   # seeds 4 and 5 raise
+    ])
+    def test_error_is_the_first_the_loop_meets(self, seeds, cap, error):
+        out = _python(_FIRST_ERROR, json.dumps(seeds), str(cap))
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [["GraphError", error]] * 2
+
+    @two_cpus
+    def test_verify_exits_2_with_the_first_error(self):
+        code = ("import sys; from treepcg.cli import main; "
+                "sys.exit(main(['verify', '--gen', 'gnp:n=60,p=0.04:logw', '--seeds', '0,2,4,5', "
+                "'--dense-cap', '52']))")
+        out = _python(code)
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: n=53 exceeds dense cap 52\n")
+
+    @two_cpus
+    @pytest.mark.parametrize("ending", ["return", "raise"])
+    def test_workers_are_reused_and_end_with_the_caller(self, ending):
+        out = _python(_LIFECYCLE, ending)
+        if ending == "raise":
+            assert out.returncode == 1 and "GraphError: n=56 exceeds dense cap 50" in out.stderr
+        else:
+            assert out.returncode == 0, out.stderr
+        first, second = json.loads(out.stdout)
+        assert first and first == second
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, first)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, first))
+
+    @two_cpus
+    def test_threads_get_their_own_reports(self):
+        out = _python(_THREADS)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [[True] * 5] * 4
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_cpu_starts_no_worker(self):
+        code = (
+            "import json, os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from treepcg.cli import ExperimentSpec, run_verify\n"
+            "report = run_verify(ExperimentSpec(generator='grid:20x20:logw', seeds=[0, 1]))\n"
+            "print(json.dumps(['multiprocessing' in sys.modules, report]))\n"
+        )
+        out = _python(code)
+        assert out.returncode == 0, out.stderr
+        loaded, report = json.loads(out.stdout)
+        assert not loaded
+        code = ("import json; from treepcg.cli import ExperimentSpec, run_verify; "
+                "print(json.dumps(run_verify(ExperimentSpec(generator='grid:20x20:logw', seeds=[0, 1]))))")
+        out = _python(code)
+        assert out.returncode == 0, out.stderr
+        assert report == json.loads(out.stdout)
 
 
 class TestScaling:
