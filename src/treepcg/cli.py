@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,46 +166,65 @@ def _first_accurate_iteration(outcome, epsilon):
     return None
 
 
-# Worker processes of _over_seeds as (process, connection) pairs: started by
-# the first call that can use them and kept, so that later calls find warm
-# interpreters.  Daemonic, so multiprocessing ends them when this process exits.
-# One call at a time talks to them, or threads would read each other's replies.
-_WORKERS = []
-_WORKERS_LOCK = threading.Lock()
+# The worker processes of _over_seeds: one pool, made by the first call that
+# can use it and kept, so that later calls find warm interpreters.  Forked,
+# not spawned: a spawned worker would first re-run the caller's main script,
+# which need not guard its top level; a forked one starts with every module
+# imported, as it was at the fork.  A fork copies only the calling thread, so
+# a caller that runs threads makes its first multi-seed call before it starts
+# them.  The workers ignore SIGINT: an interrupt is the caller's to handle.
+_POOL = None
 
 
 def _over_seeds(fn, args, seeds) -> list:
     """``[fn(*args, seed) for seed in seeds]``, computed across the CPUs this
     process may use.
 
-    The seeds are cut into contiguous shares, one per process: this process
-    takes the first, worker processes the others.  Results come back in seed
-    order, and the error raised is the one of the earliest seed that fails,
-    as in the plain loop.  There is one process per usable CPU that BLAS
-    leaves free, and at most one per seed.  Unless the environment caps
-    BLAS's threads, BLAS takes every CPU itself and no worker starts: each
-    process's BLAS threads would contend with the others' (verify on the
-    desk specs ran 2x slower in two processes than in one).
+    The seeds are cut into contiguous shares, one per process.  The pool's
+    workers take every share but the first, which this process computes
+    meanwhile.  Results come back in seed order, and the error raised is the
+    one of the earliest seed that fails, as in the plain loop; a worker's
+    error has the worker's traceback as its cause.  If a worker dies, the
+    call raises ``BrokenProcessPool`` and the next call makes a new pool.
+
+    There is one process per usable CPU that BLAS leaves free, and at most
+    one per seed.  Unless the environment caps BLAS's threads, BLAS takes
+    every CPU itself and no worker starts: each process's BLAS threads would
+    contend with the others' (verify on the desk specs ran 2x slower in two
+    processes than in one).
     """
+    global _POOL
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = max(1, min(len(seeds), cpus // _blas_threads(cpus)))
+    processes = cpus // _blas_threads(cpus)
+    k = max(1, min(len(seeds), processes))
     cuts = [len(seeds) * i // k for i in range(k + 1)]
     shares = [list(seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
-    with _WORKERS_LOCK:
-        conns = _workers(k - 1)
-        try:
-            for conn, share in zip(conns, shares[1:]):
-                conn.send((fn, args, share))
-            results = [fn(*args, seed) for seed in shares[0]]
-            replies = [conn.recv() for conn in conns]
-        except BaseException:
-            _stop_workers()  # a reply still owed would answer the next call
-            raise
-    for value, worker_traceback in replies:
-        if worker_traceback is not None:
-            raise value from RuntimeError(f"in a worker process:\n{worker_traceback}")
-        results.extend(value)
+    if k == 1:
+        return _over_share(fn, args, shares[0])
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if _POOL is None:
+        _POOL = ProcessPoolExecutor(processes - 1, multiprocessing.get_context("fork"),
+                                    initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    pool = _POOL
+    try:
+        futures = [pool.submit(_over_share, fn, args, share) for share in shares[1:]]
+        results = _over_share(fn, args, shares[0])
+        for future in futures:
+            results.extend(future.result())
+    except BrokenProcessPool:
+        if _POOL is pool:
+            _POOL = None
+        raise
     return results
+
+
+def _over_share(fn, args, share) -> list:
+    """One process's share; at module level, so that a worker can unpickle it."""
+    return [fn(*args, seed) for seed in share]
 
 
 def _blas_threads(cpus: int) -> int:
@@ -217,54 +235,6 @@ def _blas_threads(cpus: int) -> int:
         if value.isdigit() and int(value) > 0:
             return int(value)
     return cpus
-
-
-def _workers(count: int) -> list:
-    """Connections to ``count`` worker processes, starting the missing ones."""
-    if len(_WORKERS) < count:
-        import multiprocessing
-
-        # forked, not spawned: a spawned worker would first re-run the
-        # caller's main script, which need not guard its top level; a forked
-        # one starts with every module imported, as it was at the fork.  A
-        # fork copies only the calling thread, so a caller that runs threads
-        # makes its first multi-seed call before it starts them.
-        ctx = multiprocessing.get_context("fork")
-        while len(_WORKERS) < count:
-            conn, worker_end = ctx.Pipe()
-            process = ctx.Process(target=_serve, args=(worker_end, conn), daemon=True)
-            process.start()
-            worker_end.close()
-            _WORKERS.append((process, conn))
-    return [conn for _, conn in _WORKERS[:count]]
-
-
-def _stop_workers() -> None:
-    while _WORKERS:
-        process, conn = _WORKERS.pop()
-        conn.close()
-        process.terminate()
-        process.join()
-
-
-def _serve(conn, callers_end) -> None:
-    """A worker's loop: run each ``(fn, args, share)`` sent down ``conn`` and
-    send back ``(results, None)``, or ``(exception, traceback text)``."""
-    import signal
-    import traceback
-
-    callers_end.close()  # the fork's copy: with it open, the caller's exit would bring no EOF
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
-    while True:
-        try:
-            fn, args, share = conn.recv()
-        except EOFError:  # the caller has gone
-            return
-        try:
-            reply = [fn(*args, seed) for seed in share], None
-        except Exception as exc:
-            reply = exc, traceback.format_exc()
-        conn.send(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +439,6 @@ def main(argv=None) -> int:
             if (args.graph is None) == (args.gen is None):
                 raise CliError("stretch wants exactly one of --graph or --gen")
             g = read_edge_list(args.graph) if args.graph else generate(args.gen, seeds[0])
-            if not is_connected(g):
-                raise CliError("graph must be connected")
             t = build_tree(g, tree_method, seeds[0])
             rep = stretch_report(g, t)
             if out:

@@ -81,6 +81,11 @@ class TestExperimentSpec:
         assert str(info.value) == message
 
 
+# the ids of the six desk groups, spec then tree
+_DESK_IDS = [f"{spec}-{tree}" for spec in ("grid:20x20:logw", "gnp:n=450,p=0.02:logw",
+                                           "regular:n=400,d=4:unit") for tree in ("maxw", "akpw")]
+
+
 class TestVerify:
     def test_grid_five_seeds_clean(self):
         spec = ExperimentSpec(generator="grid:10x10:unit", tree_method="maxw",
@@ -140,7 +145,10 @@ class TestVerify:
     # last bits of the oracle's arithmetic, a verdict may not.  All six were
     # re-recorded when the oracle began to read the solver's SplitSystem and
     # form I + C^T C in slot order (their floats moved by <= 1.7e-13
-    # relative, lambda_min the most; every verdict unchanged).
+    # relative, lambda_min the most; every verdict unchanged).  They hold
+    # only under OpenBLAS's default thread count, recorded on a 2-CPU
+    # machine: with BLAS on one thread, as when verify starts workers, every
+    # report hashes differently, and the next test pins those bytes.
     @pytest.mark.parametrize("spec, tree, digest", [
         ("grid:20x20:logw", "maxw", "551125fc09caca592f8e624fde4498e8c8db951fc3ec62a29c34c0b455fc4497"),
         ("grid:20x20:logw", "akpw", "c85241de047bec11558a312cd40db0fd9837ed0e38f7e9744b82a10379facf1a"),
@@ -148,12 +156,29 @@ class TestVerify:
         ("gnp:n=450,p=0.02:logw", "akpw", "24312c470a496283ef7348db35fa40954bd036ca8efd283c949a29e5dad2f1c5"),
         ("regular:n=400,d=4:unit", "maxw", "2279fb9ce1689108aebdce02c11b29ca6592a13a272d335935e7f9761090a8b9"),
         ("regular:n=400,d=4:unit", "akpw", "27817a2f7e34091df62ca24a0616642f678cd429ca0b4e61d2dc7b87a5b57bbb"),
-    ], ids=[f"{spec}-{tree}" for spec in ("grid:20x20:logw", "gnp:n=450,p=0.02:logw",
-                                          "regular:n=400,d=4:unit") for tree in ("maxw", "akpw")])
+    ], ids=_DESK_IDS)
     def test_desk_report_bytes_pinned(self, tmp_path, spec, tree, digest):
         out = tmp_path / "r.json"
         assert main(["verify", "--gen", spec, "--tree", tree, "--seeds", "0,1,2,3",
                      "--out", str(out)]) == 0
+        assert _sha256(out) == digest
+
+    # the same reports from a fresh interpreter with BLAS on one thread
+    # (_python), where verify certifies seeds 2-3 in a worker when two CPUs
+    # are usable; recorded before the workers ran on a ProcessPoolExecutor
+    @pytest.mark.parametrize("spec, tree, digest", [
+        ("grid:20x20:logw", "maxw", "5a9029111d2b88769c5d1108ff4034d3138fc6aac4fbd598c36e82dcd7b8fffa"),
+        ("grid:20x20:logw", "akpw", "f8da29df9f257b87f286d3447b348cd67f44a05851abb19e5de261d88a091e60"),
+        ("gnp:n=450,p=0.02:logw", "maxw", "2fea5bae556fbca58cbe8ebb307b37d5d5c9f20579649cc4d19e9d8bce4474d3"),
+        ("gnp:n=450,p=0.02:logw", "akpw", "fdd3b55eec15dc2636e9305ebc5506a355d89d1db378144ce1b53d0ef0470ade"),
+        ("regular:n=400,d=4:unit", "maxw", "6492e0f0d7d7a0f330a20816301014a293d40bd444ab0930d80cc6c454801869"),
+        ("regular:n=400,d=4:unit", "akpw", "4ea4bf4bdb8de012c4d6c0a658e9453c0717f2610cfc4bf792e4873a3f61a6a3"),
+    ], ids=_DESK_IDS)
+    def test_desk_report_bytes_pinned_on_one_blas_thread(self, tmp_path, spec, tree, digest):
+        out = tmp_path / "r.json"
+        run = _python("import sys; from treepcg.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "verify", "--gen", spec, "--tree", tree, "--seeds", "0,1,2,3", "--out", str(out))
+        assert run.returncode == 0, run.stderr
         assert _sha256(out) == digest
 
     @pytest.mark.parametrize("spec", ["grid:20x20:logw", "gnp:n=450,p=0.02:logw",
@@ -257,6 +282,33 @@ for t in threads:
 print(json.dumps([[r == want[i] for r in rs] for i, rs in enumerate(got)]))
 """
 
+# a 2-seed run starts the worker; in the next, 4-seed run the calling
+# process SIGKILLs it as its own share begins.  That run must raise, then a
+# rerun must give the report of a run pinned to one CPU, which has no worker
+_WORKER_DEATH = r"""
+import json, multiprocessing, os, signal, time
+from treepcg import cli
+from treepcg.cli import ExperimentSpec, run_verify
+spec = ExperimentSpec(generator="grid:20x20:logw", tree_method="akpw", seeds=[0, 1, 2, 3])
+run_verify(ExperimentSpec(generator="grid:6x6:logw", seeds=[0, 1]))
+generate = cli.generate
+def kill_a_worker(*args):
+    cli.generate = generate
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+    return generate(*args)
+cli.generate = kill_a_worker
+start = time.monotonic()
+try:
+    run_verify(spec)
+    raised = None
+except Exception as exc:
+    raised = type(exc).__name__
+took = time.monotonic() - start
+again = run_verify(spec)
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+print(json.dumps([raised, took, again == run_verify(spec)]))
+"""
+
 
 class TestVerifyAcrossProcesses:
     """verify certifies its seeds in worker processes too; none of it may
@@ -322,6 +374,15 @@ class TestVerifyAcrossProcesses:
         out = _python(_THREADS)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == [[True] * 5] * 4
+
+    @two_cpus
+    def test_a_killed_worker_fails_one_run_only(self):
+        out = _python(_WORKER_DEATH)
+        assert out.returncode == 0, out.stderr
+        raised, took, same = json.loads(out.stdout)
+        assert raised == "BrokenProcessPool"
+        assert took < 10.0
+        assert same
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_one_cpu_starts_no_worker(self):
@@ -582,6 +643,13 @@ class TestGenAndStretch:
 
     def test_stretch_requires_one_source(self):
         assert main(["stretch"]) == 2
+
+    @pytest.mark.parametrize("tree", ["maxw", "akpw"])
+    def test_stretch_disconnected_graph_exits_2(self, tmp_path, capsys, tree):
+        gp = tmp_path / "g.txt"
+        gp.write_text("0 1 1.0\n2 3 1.0\n")
+        assert main(["stretch", "--graph", str(gp), "--tree", tree]) == 2
+        assert capsys.readouterr().err == "error: graph must be connected\n"
 
     @pytest.mark.parametrize("command", ["gen", "stretch", "verify", "scaling"])
     @pytest.mark.parametrize("seeds", ["-1", "0,-3"])
