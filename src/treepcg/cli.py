@@ -167,13 +167,13 @@ def _first_accurate_iteration(outcome, epsilon):
 
 
 # The worker processes of _over_seeds: one pool, made by the first call that
-# can use it and kept, so that later calls find warm interpreters.  Forked,
-# not spawned: a spawned worker would first re-run the caller's main script,
-# which need not guard its top level; a forked one starts with every module
-# imported, as it was at the fork.  A fork copies only the calling thread, so
-# a caller that runs threads makes its first multi-seed call before it starts
-# them.  The workers ignore SIGINT: an interrupt is the caller's to handle.
-_POOL = None
+# can use it and kept, so that later calls find warm interpreters; a call
+# that needs more workers replaces it.  Forked, not spawned: a spawned worker
+# would first re-run the caller's main script, which need not guard its top
+# level; a forked one starts with every module imported, as it was at the
+# fork.  A fork copies only the calling thread, so a caller that runs threads
+# makes its first multi-seed call before it starts them.
+_POOL = None  # (executor, its number of workers)
 
 
 def _over_seeds(fn, args, seeds) -> list:
@@ -184,8 +184,10 @@ def _over_seeds(fn, args, seeds) -> list:
     workers take every share but the first, which this process computes
     meanwhile.  Results come back in seed order, and the error raised is the
     one of the earliest seed that fails, as in the plain loop; a worker's
-    error has the worker's traceback as its cause.  If a worker dies, the
-    call raises ``BrokenProcessPool`` and the next call makes a new pool.
+    error has the worker's traceback as its cause.  Any error, an interrupt
+    too, ends the pool's workers at once, so none goes on with a share whose
+    result is lost; if a worker dies, the call raises ``BrokenProcessPool``.
+    Either way the next call makes a new pool.
 
     There is one process per usable CPU that BLAS leaves free, and at most
     one per seed.  Unless the environment caps BLAS's threads, BLAS takes
@@ -195,29 +197,32 @@ def _over_seeds(fn, args, seeds) -> list:
     """
     global _POOL
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    processes = cpus // _blas_threads(cpus)
-    k = max(1, min(len(seeds), processes))
+    k = max(1, min(len(seeds), cpus // _blas_threads(cpus)))
     cuts = [len(seeds) * i // k for i in range(k + 1)]
     shares = [list(seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
     if k == 1:
         return _over_share(fn, args, shares[0])
-    import multiprocessing
-    import signal
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    if _POOL is None or _POOL[1] < k - 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    if _POOL is None:
-        _POOL = ProcessPoolExecutor(processes - 1, multiprocessing.get_context("fork"),
-                                    initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-    pool = _POOL
+        if _POOL is not None:
+            _POOL[0].shutdown(wait=False)  # idle, or finishing another thread's shares
+        _POOL = ProcessPoolExecutor(k - 1, multiprocessing.get_context("fork"),
+                                    initializer=_start_worker, initargs=(os.getpid(),)), k - 1
+    pool = _POOL[0]
     try:
         futures = [pool.submit(_over_share, fn, args, share) for share in shares[1:]]
         results = _over_share(fn, args, shares[0])
         for future in futures:
             results.extend(future.result())
-    except BrokenProcessPool:
-        if _POOL is pool:
+    except BaseException:
+        if _POOL is not None and _POOL[0] is pool:
             _POOL = None
+        workers = list((pool._processes or {}).values())  # no public call ends busy workers
+        pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.terminate()
         raise
     return results
 
@@ -225,6 +230,24 @@ def _over_seeds(fn, args, seeds) -> list:
 def _over_share(fn, args, share) -> list:
     """One process's share; at module level, so that a worker can unpickle it."""
     return [fn(*args, seed) for seed in share]
+
+
+def _start_worker(caller: int) -> None:
+    """A pool worker's setup.  An interrupt is the caller's to handle.  The
+    worker exits once the caller has gone, even killed outright: it waits on
+    a queue whose write end the fork also gave it, so it would see no EOF."""
+    import signal
+    import threading
+    import time
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch():
+        while os.getppid() == caller:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _blas_threads(cpus: int) -> int:
@@ -472,6 +495,13 @@ def main(argv=None) -> int:
             return 0
     # PcgError is bad input; PcgDivergenceError, a solver failure, is not caught
     except (CliError, GraphError, TreeError, PcgError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # BrokenProcessPool: one of verify's workers died
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -165,7 +165,7 @@ class TestVerify:
 
     # the same reports from a fresh interpreter with BLAS on one thread
     # (_python), where verify certifies seeds 2-3 in a worker when two CPUs
-    # are usable; recorded before the workers ran on a ProcessPoolExecutor
+    # are usable
     @pytest.mark.parametrize("spec, tree, digest", [
         ("grid:20x20:logw", "maxw", "5a9029111d2b88769c5d1108ff4034d3138fc6aac4fbd598c36e82dcd7b8fffa"),
         ("grid:20x20:logw", "akpw", "f8da29df9f257b87f286d3447b348cd67f44a05851abb19e5de261d88a091e60"),
@@ -310,6 +310,45 @@ print(json.dumps([raised, took, again == run_verify(spec)]))
 """
 
 
+# a 2-seed run starts the worker; then the calling process SIGKILLs itself
+_CALLER_KILLED = r"""
+import json, multiprocessing, os, signal
+from treepcg.cli import ExperimentSpec, run_verify
+run_verify(ExperimentSpec(generator="grid:6x6:logw", seeds=[0, 1]))
+print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+# seed 0, the calling process's, raises sys.argv[1] at once, uncaught, while
+# seed 1 keeps the worker busy for a minute
+_EARLY_ERROR = r"""
+import builtins, json, multiprocessing, sys, time
+from treepcg import cli
+def certify(seed):
+    if seed == 0:
+        print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)
+        raise getattr(builtins, sys.argv[1])("seed 0")
+    time.sleep(60)
+cli._over_seeds(certify, (), [0, 1])
+"""
+
+# on a host that shows eight CPUs, runs of 2, 3 and 2 seeds; the number of
+# workers alive after each
+_POOL_SIZE = r"""
+import json, multiprocessing, os, time
+os.sched_getaffinity = lambda pid: set(range(8))
+from treepcg.cli import ExperimentSpec, run_verify
+counts = []
+for seeds, want in (([0, 1], 1), ([0, 1, 2], 2), ([0, 1], 2)):
+    run_verify(ExperimentSpec(generator="grid:6x6:logw", seeds=seeds))
+    deadline = time.monotonic() + 10.0
+    while len(multiprocessing.active_children()) != want and time.monotonic() < deadline:
+        time.sleep(0.05)
+    counts.append(len(multiprocessing.active_children()))
+print(json.dumps(counts))
+"""
+
+
 class TestVerifyAcrossProcesses:
     """verify certifies its seeds in worker processes too; none of it may
     show in a report, an error or a process left behind.  Each case runs in
@@ -383,6 +422,42 @@ class TestVerifyAcrossProcesses:
         assert raised == "BrokenProcessPool"
         assert took < 10.0
         assert same
+
+    @two_cpus
+    def test_workers_end_with_a_killed_caller(self):
+        out = _python(_CALLER_KILLED)
+        assert out.returncode == -9, out.stderr
+        pids = json.loads(out.stdout)
+        assert pids
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+
+    @two_cpus
+    @pytest.mark.parametrize("error", ["ValueError", "KeyboardInterrupt"])
+    def test_an_error_ends_a_busy_worker_at_once(self, error):
+        start = time.monotonic()
+        out = _python(_EARLY_ERROR, error)
+        assert time.monotonic() - start < 20.0
+        assert out.returncode != 0 and f"{error}: seed 0" in out.stderr
+        pids = json.loads(out.stdout)
+        assert pids and not any(map(_running, pids))
+
+    def test_the_pool_has_the_workers_a_call_needs(self):
+        out = _python(_POOL_SIZE)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [1, 2, 2]
+
+    def test_a_dead_worker_exits_2(self, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def die(*args):
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(cli, "_over_seeds", die)
+        assert main(["verify", "--gen", "grid:6x6:logw"]) == 2
+        assert capsys.readouterr().err == "error: a worker died\n"
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_one_cpu_starts_no_worker(self):
