@@ -9,7 +9,6 @@ for automated acceptance runs.  Config precedence is CLI flags > config file
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,13 +19,16 @@ import numpy as np
 from .graphs import (
     DEFAULT_DENSE_CAP,
     GraphError,
+    _data_lines,
     dense_laplacian,
     generate,
     is_connected,
+    open_output,
     parse_generator_spec,
     read_edge_list,
     read_vector,
     write_edge_list,
+    write_json,
     write_vector,
 )
 from .pcg import PcgConfig, PcgError, exact_spectrum_bound, pcg_solve, stretch_only_bound, _snapped_root
@@ -290,7 +292,7 @@ def run_scaling(generators, tree_method: str, epsilon: float, seeds) -> list:
 
 
 def write_scaling_csv(rows, path) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("m,seed,stretch_total,stretch_cbrt,iterations,k_bound\n")
         for r in rows:
             fh.write(
@@ -329,27 +331,21 @@ def run_solve(graph_path, b_path, tree_method: str, epsilon: float, seed: int = 
 # argument plumbing
 
 
-def _write_json(obj, path):
-    if path is None:
-        json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-
 def _read_config(path) -> dict:
+    """The file's ``key = value`` lines, keys with ``-`` read as ``_``; blank
+    lines and comments as in edge lists.  A key that no option reads is an
+    error, not a setting silently ignored."""
     cfg = {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            k, v = line.split("=", 1)
-            cfg[k.strip().replace("-", "_")] = v.strip()
+        text = fh.read()
+    for lineno, line in _data_lines(text):
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        k, v = line.split("=", 1)
+        key = k.strip().replace("-", "_")
+        if key not in _DEFAULTS:
+            raise CliError(f"{path}:{lineno}: unknown key {k.strip()!r}")
+        cfg[key] = v.strip()
     return cfg
 
 
@@ -466,15 +462,13 @@ def main(argv=None) -> int:
             rep = stretch_report(g, t)
             if out:
                 rep.write_csv(out + ".csv")
-                rep.write_json_summary(out + ".json")
-            else:
-                _write_json(rep.summary(), None)
+            rep.write_json_summary(out + ".json" if out else None)
             return 0
 
         if args.command == "solve":
             x, sidecar = run_solve(args.graph, args.b_path, tree_method, epsilon, seeds[0])
             write_vector(x, out)
-            _write_json(sidecar, out + ".json")
+            write_json(sidecar, out + ".json")
             return 0
 
         if args.command == "verify":
@@ -487,11 +481,11 @@ def main(argv=None) -> int:
                 dense_cap=dense_cap,
             )
             report = run_verify(spec)
-            _write_json(report, out)
+            write_json(report, out)
             return 1 if report["failures"] else 0
 
         if args.command == "scaling":
-            write_scaling_csv(run_scaling(args.gen, tree_method, epsilon, seeds), out or "/dev/stdout")
+            write_scaling_csv(run_scaling(args.gen, tree_method, epsilon, seeds), out)
             return 0
     # PcgError is bad input; PcgDivergenceError, a solver failure, is not caught
     except (CliError, GraphError, TreeError, PcgError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Weighted undirected graphs: Laplacian action, generators, edge-list I/O.
+"""Weighted undirected graphs: Laplacian action, generators, text I/O.
 
 A graph is stored as a canonical sorted edge list (u < v) in three arrays;
 :func:`components`, hook and compress on whole arrays, serves connectivity,
@@ -10,8 +10,12 @@ back brute-force verification.
 """
 from __future__ import annotations
 
+import contextlib
+import json
 import random
 import re
+import sys
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -46,11 +50,14 @@ class WeightedGraph:
         if e.ndim != 2 or e.shape[1] != 3:
             raise GraphError(f"edges must be (u, v, w) triples, got an array of shape {e.shape}")
         u, v, w = np.trunc(e[:, 0]), np.trunc(e[:, 1]), e[:, 2]
+        fraction = (u != e[:, 0]) | (v != e[:, 1])      # NaN too
         out_of_range = ~((0 <= u) & (u < n) & (0 <= v) & (v < n))
-        bad = out_of_range | (u == v) | ~(w > 0.0) | ~np.isfinite(w)
+        bad = fraction | out_of_range | (u == v) | ~(w > 0.0) | ~np.isfinite(w)
         if bad.any():
             i = int(bad.argmax())
-            ui, vi = int(u[i]), int(v[i])
+            ui, vi = _id_text(e[i, 0]), _id_text(e[i, 1])
+            if fraction[i]:
+                raise GraphError(f"non-integer vertex id in edge ({ui}, {vi})")
             if out_of_range[i]:
                 raise GraphError(f"vertex id out of range in edge ({ui}, {vi})")
             if ui == vi:
@@ -80,6 +87,12 @@ class WeightedGraph:
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
+
+
+def _id_text(x) -> str:
+    """A vertex id, int or float, as given: an integral value as an int, any
+    other as a float."""
+    return str(int(x)) if np.isfinite(x) and x == np.trunc(x) else repr(float(x))
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -357,36 +370,33 @@ def generate(spec, seed: int) -> WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# edge-list I/O: one edge per line, "u v w"
+# text I/O: edge lists ("u v w" a line), vectors (one value a line), JSON
 
 
-def _loadtxt(fh, text, dtype, ndmin):
-    """``np.loadtxt`` of the open file ``fh`` whose whole text is ``text``,
-    for text with data and no ``#`` (loadtxt would strip a trailing comment
-    that the line reader rejects); None where it fails, so that the line
-    reader can name the line.  Parsing from the file, not from ``text``,
-    keeps a second copy of the text out of memory."""
-    if "#" in text or not text.strip():
-        return None
-    fh.seek(0)
-    try:
-        return np.loadtxt(fh, dtype=dtype, ndmin=ndmin)
-    except ValueError:
-        return None
+def _loadtxt(fh, dtype, ndmin):
+    """``np.loadtxt`` of the open file ``fh``, or None where it fails, so
+    that the line reader can name the line; a ``#`` fails here, for the line
+    reader to skip or reject.  No data gives no rows, without a warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(fh, dtype=dtype, ndmin=ndmin, comments=None)
+        except ValueError:
+            return None
 
 
 def read_edge_list(path) -> WeightedGraph:
     """The graph on 0..max id.  A file ``np.loadtxt`` parses whole with no
-    self-loop or nonpositive weight skips the line reader, which otherwise
-    names the first bad line."""
+    self-loop or nonpositive weight is read once; any other file's text goes
+    to the line reader, which names the first bad line."""
     with open(path) as fh:
-        text = fh.read()
-        rec = _loadtxt(fh, text, [("u", "i8"), ("v", "i8"), ("w", "f8")], 1)
-    if rec is not None and not (rec["u"] == rec["v"]).any() and (rec["w"] > 0.0).all():
-        edges = np.column_stack((rec["u"], rec["v"], rec["w"]))
-    else:
-        edges = _parse_edge_lines(path, text)
-    del text, rec       # the file's text and records need not outlive the graph build
+        rec = _loadtxt(fh, [("u", "i8"), ("v", "i8"), ("w", "f8")], 1)
+        if rec is not None and not (rec["u"] == rec["v"]).any() and (rec["w"] > 0.0).all():
+            edges = np.column_stack((rec["u"], rec["v"], rec["w"]))
+        else:
+            fh.seek(0)
+            edges = _parse_edge_lines(path, fh.read())
+    del rec     # the records need not outlive the graph build
     max_id = int(edges[:, :2].max()) if len(edges) else -1
     if max_id < 0:
         raise GraphError(f"{path}: no edges")
@@ -428,10 +438,11 @@ def write_edge_list(g: WeightedGraph, path) -> None:
 
 def read_vector(path) -> np.ndarray:
     with open(path) as fh:
+        x = _loadtxt(fh, np.float64, 2)
+        if x is not None and x.shape[1] == 1:
+            return x.ravel()
+        fh.seek(0)
         text = fh.read()
-        x = _loadtxt(fh, text, np.float64, 2)
-    if x is not None and x.shape[1] == 1:
-        return x.ravel()
     values = []
     for lineno, line in _data_lines(text):
         try:
@@ -445,3 +456,14 @@ def write_vector(x, path) -> None:
     with open(path, "w") as fh:
         for v in np.asarray(x, dtype=np.float64).tolist():
             fh.write(f"{v!r}\n")
+
+
+def open_output(path):
+    """The file at ``path`` opened for writing, or ``sys.stdout``, left open."""
+    return open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout)
+
+
+def write_json(obj, path) -> None:
+    """``obj`` as JSON, keys sorted and indented by 2, with a final newline."""
+    with open_output(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")

@@ -23,12 +23,11 @@ claims, it does not scale.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DEFAULT_DENSE_CAP, GraphError, WeightedGraph, dense_laplacian, is_connected
+from .graphs import DEFAULT_DENSE_CAP, GraphError, WeightedGraph, dense_laplacian, is_connected, write_json
 from .pcg import SplitSystem
 from .trees import SpanningTree, TreeError, tree_spans
 
@@ -51,9 +50,7 @@ class SpectralSummary:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:

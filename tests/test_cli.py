@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -543,6 +545,36 @@ class TestScaling:
             assert grounded_a_norm_error(g, b, outcome.x) <= 1e-8
 
 
+class TestStandardOutput:
+    """Without --out, stretch, verify and scaling write to ``sys.stdout``."""
+
+    @pytest.mark.parametrize("args, suffix", [
+        (["stretch", "--gen", "grid:6x6:logw", "--tree", "akpw"], ".json"),
+        (["verify", "--gen", "grid:5x5:logw", "--seeds", "0,1"], ""),
+        (["scaling", "--gen", "grid:4x4:unit", "--gen", "grid:5x5:logw"], ""),
+    ])
+    def test_redirect_stdout_gets_the_out_file(self, tmp_path, args, suffix):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(args) == 0
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 0
+        assert buf.getvalue() == Path(str(out) + suffix).read_text()
+
+    def test_scaling_appends_to_an_appended_stdout(self, tmp_path):
+        # `treepcg scaling ... >> log.txt` must keep what log.txt holds
+        log, out = tmp_path / "log.txt", tmp_path / "s.csv"
+        log.write_text("a line written before\n")
+        args = ["scaling", "--gen", "grid:4x4:unit"]
+        src = str(Path(treepcg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys; from treepcg.cli import main; sys.exit(main(sys.argv[1:]))"
+        with open(log, "a") as fh:
+            subprocess.run([sys.executable, "-c", code, *args], stdout=fh, env=env, check=True, timeout=120)
+        assert main(args + ["--out", str(out)]) == 0
+        assert log.read_text() == "a line written before\n" + out.read_text()
+
+
 class TestSolve:
     def _write_path_graph(self, tmp_path, n=5):
         p = tmp_path / "g.txt"
@@ -793,6 +825,32 @@ class TestConfigPrecedence:
         assert calls == [str(cfg)]
         spec = json.loads(out.read_text())["spec"]
         assert (spec["tree_method"], spec["epsilon"], spec["seeds"], spec["checks"]) == ("akpw", 1e-4, [5], "trace")
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("key", ["epsilon", "seed", "out"])
+    def test_unknown_key_exits_2_before_input_is_read(self, tmp_path, monkeypatch, capsys, key):
+        # a misspelt key must not leave its setting at the default unnoticed
+        def untouched(*args):
+            raise AssertionError("input read")
+
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"# a comment\ntree = akpw\n\n{key} = 3\n")
+        monkeypatch.setattr(cli, "generate", untouched)
+        out = tmp_path / "r.json"
+        assert main(["verify", "--gen", "grid:5x5:unit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:4: unknown key {key!r}\n"
+        assert not out.exists()
+
+    def test_every_option_key_is_read(self, tmp_path):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("tree = akpw\neps = 1e-4\nseeds = 2,3\ndense-cap = 30\nchecks = trace\n")
+        out = tmp_path / "r.json"
+        assert main(["verify", "--gen", "grid:5x5:unit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["spec"] == {
+            "generator": "grid:5x5:unit", "tree_method": "akpw", "epsilon": 1e-4,
+            "seeds": [2, 3], "dense_cap": 30, "checks": "trace",
+        }
 
 
 class TestImports:

@@ -51,6 +51,19 @@ class TestConstruction:
         with pytest.raises(GraphError, match="out of range"):
             WeightedGraph(2, [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1.5, 1.0), (1, 2, 1.0)], "non-integer vertex id in edge (0, 1.5)"),
+        ([(0, 1, 1.0), (-0.5, 2, 1.0)], "non-integer vertex id in edge (-0.5, 2)"),
+        ([(0, 1, 1.0), (2, float("nan"), 1.0)], "non-integer vertex id in edge (2, nan)"),
+        ([(0, 1, 1.0), (1, float("inf"), 1.0)], "vertex id out of range in edge (1, inf)"),
+    ])
+    def test_non_integer_id_rejected(self, edges, message):
+        # a fractional id is an error, not the vertex it truncates to
+        for given in (edges, np.array(edges)):
+            with pytest.raises(GraphError) as exc:
+                WeightedGraph(3, given)
+            assert str(exc.value) == message
+
 
 def reference_validate(n, edges):
     """The per-edge validation loop the array code replaced: the message of

@@ -762,6 +762,23 @@ class TestSpanningTreeInit:
         with pytest.raises(TreeError, match=r"^edge \(1, 0\) has nonpositive weight$"):
             SpanningTree.from_edges(3, [(0, 1, np.inf), (1, 2, 2.0)])
 
+    @pytest.mark.parametrize("parent, message", [
+        ([-1, 0.5, 1.7], "vertex 1 has invalid parent 0.5"),
+        ([-1, 0, np.nan], "vertex 2 has invalid parent nan"),
+        ([-1, 2.5, 9], "vertex 1 has invalid parent 2.5"),
+    ])
+    def test_non_integer_parent_rejected(self, parent, message):
+        # a fractional parent is an error, not the vertex it truncates to
+        with pytest.raises(TreeError) as err:
+            SpanningTree(parent, [1.0, 1.0, 1.0])
+        assert str(err.value) == message
+
+    def test_integral_float_parents_accepted(self):
+        t = SpanningTree([-1.0, 0.0, 1.0], [1.0, 2.0, 4.0])
+        assert t.parent.dtype == np.int64 and t.parent.tolist() == [-1, 0, 1]
+        with pytest.raises(TreeError, match=r"^edge \(2, 1\) has nonpositive weight$"):
+            SpanningTree([-1.0, 0.0, 1.0], [1.0, 2.0, 0.0])
+
     @pytest.mark.parametrize("case", [
         ([0, 0, 1, 2], [0.0, 1.0, 1.0, 1.0], 1),            # root's parent is not -1
         ([-1, 0, 7, 2, -3], [0.0, 1.0, 1.0, 1.0, 1.0], 0),  # invalid parents at 2 and 4
@@ -828,6 +845,11 @@ class TestFromEdgesLayout:
     @pytest.mark.parametrize("edges, message", [
         ([(0, 1, 1.0), (1, 3, 1.0)], "edge (1, 3) has an end outside 0..2"),
         ([(0, 1, 1.0), (-1, 2, 1.0)], "edge (-1, 2) has an end outside 0..2"),
+        # a fractional end is an error, not the vertex it truncates to
+        ([(0, 1.5, 1.0), (1, 2, 1.0)], "edge (0, 1.5) has a non-integer end"),
+        ([(0, 1, 1.0), (np.nan, 2, 1.0)], "edge (nan, 2) has a non-integer end"),
+        ([(0, 1, 1.0), (1, np.inf, 1.0)], "edge (1, inf) has an end outside 0..2"),
+        ([(0.5, 7, 1.0), (1, 2, 1.0)], "edge (0.5, 7) has a non-integer end"),
     ])
     def test_end_out_of_range(self, edges, message):
         with pytest.raises(TreeError) as err:
