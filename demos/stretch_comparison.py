@@ -2,8 +2,9 @@
 
 On a unit-weight grid every spanning tree has the same weight, so the
 max-weight baseline degenerates to canonical tie-breaking and pays a large
-total stretch.  The ball-growing/contraction heuristic does much better,
-and the gap is what drives PCG iteration counts.
+total stretch.  The akpw tree (weight classes, clustered by random shifts
+and contracted) does much better, and the gap is what drives PCG iteration
+counts.
 """
 import numpy as np
 

@@ -117,20 +117,22 @@ class TestVerify:
     # (iterations_observed, bound_exact_spectrum, bound_stretch_only,
     # tail_violations) for seeds 0-3; seeds 0 and 1 recorded at the commit
     # before the oracle used the tree-path factor and a grounded solve for
-    # x_true, seeds 2 and 3 at the commit before it formed I + C^T C
+    # x_true, seeds 2 and 3 at the commit before it formed I + C^T C.  The
+    # akpw rows were re-recorded when akpw became AKPW weight classes with
+    # Miller-Peng-Xu clustering (a new tree, so new counts; every verdict ok)
     @pytest.mark.parametrize("spec, tree, want", [
         ("grid:20x20:logw", "maxw",
          [(37, 46, 109, 0), (37, 46, 110, 0), (37, 46, 109, 0), (36, 46, 110, 0)]),
         ("grid:20x20:logw", "akpw",
-         [(84, 114, 256, 0), (77, 97, 250, 0), (81, 107, 256, 0), (81, 111, 233, 0)]),
+         [(39, 47, 111, 0), (37, 52, 110, 0), (39, 49, 115, 0), (38, 48, 112, 0)]),
         ("gnp:n=450,p=0.02:logw", "maxw",
          [(57, 72, 184, 0), (60, 75, 186, 0), (59, 72, 189, 0), (59, 74, 189, 0)]),
         ("gnp:n=450,p=0.02:logw", "akpw",
-         [(124, 161, 348, 0), (126, 170, 306, 0), (120, 173, 311, 0), (131, 173, 361, 0)]),
+         [(60, 77, 171, 0), (63, 83, 177, 0), (60, 78, 184, 0), (60, 72, 177, 0)]),
         ("regular:n=400,d=4:unit", "maxw",
          [(69, 88, 213, 0), (68, 83, 216, 0), (68, 85, 208, 0), (67, 87, 208, 0)]),
         ("regular:n=400,d=4:unit", "akpw",
-         [(69, 85, 176, 0), (69, 92, 175, 0), (70, 91, 177, 0), (70, 85, 175, 0)]),
+         [(68, 81, 178, 0), (68, 86, 174, 0), (69, 84, 181, 0), (68, 82, 176, 0)]),
     ])
     def test_desk_verdicts_pinned(self, spec, tree, want):
         report = run_verify(ExperimentSpec(generator=spec, tree_method=tree, seeds=[0, 1, 2, 3]))
@@ -147,17 +149,18 @@ class TestVerify:
     # last bits of the oracle's arithmetic, a verdict may not.  All six were
     # re-recorded when the oracle began to read the solver's SplitSystem and
     # form I + C^T C in slot order (their floats moved by <= 1.7e-13
-    # relative, lambda_min the most; every verdict unchanged).  They hold
+    # relative, lambda_min the most; every verdict unchanged), and the akpw
+    # three again when akpw's tree changed (see the verdicts).  They hold
     # only under OpenBLAS's default thread count, recorded on a 2-CPU
     # machine: with BLAS on one thread, as when verify starts workers, every
     # report hashes differently, and the next test pins those bytes.
     @pytest.mark.parametrize("spec, tree, digest", [
         ("grid:20x20:logw", "maxw", "551125fc09caca592f8e624fde4498e8c8db951fc3ec62a29c34c0b455fc4497"),
-        ("grid:20x20:logw", "akpw", "c85241de047bec11558a312cd40db0fd9837ed0e38f7e9744b82a10379facf1a"),
+        ("grid:20x20:logw", "akpw", "6a35bc47f6df5ec37061b0a21fcf4934456fb7180e2d6d644541167d4877f1c1"),
         ("gnp:n=450,p=0.02:logw", "maxw", "2defc184ebf76643e9883785c09706dfa009efa85d17ffa170794e58b504b3e1"),
-        ("gnp:n=450,p=0.02:logw", "akpw", "24312c470a496283ef7348db35fa40954bd036ca8efd283c949a29e5dad2f1c5"),
+        ("gnp:n=450,p=0.02:logw", "akpw", "21f3b5671e6dc4ebbe758bda14311eda4da46cc9ddd7a91839af452d90ed9b66"),
         ("regular:n=400,d=4:unit", "maxw", "2279fb9ce1689108aebdce02c11b29ca6592a13a272d335935e7f9761090a8b9"),
-        ("regular:n=400,d=4:unit", "akpw", "27817a2f7e34091df62ca24a0616642f678cd429ca0b4e61d2dc7b87a5b57bbb"),
+        ("regular:n=400,d=4:unit", "akpw", "7d1dad439280d405b5667e72804c284ae03b521a3d0fd4189451f0e79d9a2caa"),
     ], ids=_DESK_IDS)
     def test_desk_report_bytes_pinned(self, tmp_path, spec, tree, digest):
         out = tmp_path / "r.json"
@@ -170,11 +173,11 @@ class TestVerify:
     # are usable
     @pytest.mark.parametrize("spec, tree, digest", [
         ("grid:20x20:logw", "maxw", "5a9029111d2b88769c5d1108ff4034d3138fc6aac4fbd598c36e82dcd7b8fffa"),
-        ("grid:20x20:logw", "akpw", "f8da29df9f257b87f286d3447b348cd67f44a05851abb19e5de261d88a091e60"),
+        ("grid:20x20:logw", "akpw", "c8b2d8e30bd53e7650d18734420dba337402432ecf5a01d20008ddf2f3023bad"),
         ("gnp:n=450,p=0.02:logw", "maxw", "2fea5bae556fbca58cbe8ebb307b37d5d5c9f20579649cc4d19e9d8bce4474d3"),
-        ("gnp:n=450,p=0.02:logw", "akpw", "fdd3b55eec15dc2636e9305ebc5506a355d89d1db378144ce1b53d0ef0470ade"),
+        ("gnp:n=450,p=0.02:logw", "akpw", "7d7d453a52aafac462c740dd06df985604c33285c5f169f96e81d37ed048f604"),
         ("regular:n=400,d=4:unit", "maxw", "6492e0f0d7d7a0f330a20816301014a293d40bd444ab0930d80cc6c454801869"),
-        ("regular:n=400,d=4:unit", "akpw", "4ea4bf4bdb8de012c4d6c0a658e9453c0717f2610cfc4bf792e4873a3f61a6a3"),
+        ("regular:n=400,d=4:unit", "akpw", "8433539cb75dff25f076d56990468e65ab13876f5e4a98d5a387753ce6b54948"),
     ], ids=_DESK_IDS)
     def test_desk_report_bytes_pinned_on_one_blas_thread(self, tmp_path, spec, tree, digest):
         out = tmp_path / "r.json"
@@ -490,13 +493,14 @@ class TestScaling:
         assert ms == sorted(ms)
         for r in rows:
             assert r["iterations"] <= r["k_bound"]
-        # regression fixture from one frozen run (seed 0, akpw trees)
+        # regression fixture from one frozen run (seed 0, akpw trees; re-recorded
+        # when akpw became weight classes with Miller-Peng-Xu clustering)
         assert rows[0] == {
-            "m": 180, "seed": 0, "stretch_total": 690.0,
-            "stretch_cbrt": 8.836555922403612, "iterations": 47, "k_bound": 94,
+            "m": 180, "seed": 0, "stretch_total": 664.0,
+            "stretch_cbrt": 8.724141342909673, "iterations": 47, "k_bound": 93,
         }
-        assert rows[1]["m"] == 760 and rows[1]["stretch_total"] == 4562.0
-        assert rows[1]["iterations"] == 105 and rows[1]["k_bound"] == 176
+        assert rows[1]["m"] == 760 and rows[1]["stretch_total"] == 4602.0
+        assert rows[1]["iterations"] == 110 and rows[1]["k_bound"] == 176
 
     def test_single_size_many_seeds(self):
         rows = run_scaling(["grid:8x8:unit"], "maxw", 1e-8, list(range(10)))
@@ -522,18 +526,18 @@ class TestScaling:
         assert header == "m,seed,stretch_total,stretch_cbrt,iterations,k_bound"
 
     def test_csv_bytes_pinned(self, tmp_path, monkeypatch):
-        # sha256 recorded at the commit that moved PCG onto the tree-split
-        # system; the last bits of x, and so a few iteration counts, moved
+        # sha256 recorded at the commit that made akpw weight classes with
+        # Miller-Peng-Xu clustering (a new tree on every row)
         out = tmp_path / "s.csv"
         solves = capture_pcg_solves(monkeypatch)
         assert main(["scaling", "--gen", "grid:10x10:logw", "--gen", "gnp:n=150,p=0.02:unit",
                      "--tree", "akpw", "--seeds", "0,1", "--out", str(out)]) == 0
-        assert _sha256(out) == "0594f925e3ce2ce082151e58ceeb1e1d1521e3f257e1f7e6e2e30f251c4b73cf"
-        # (iterations, stretch_total) per row, recorded before the split.
-        # Per row the iterations moved 63, 62, 51, 54 -> 62, 61, 48, 55:
-        # plain CG at ~50 iterations moves by a few under any reordering of
-        # its rounding, so the +-2% bound holds for the sweep's total
-        want = [(63, 1785.261135199207), (62, 2168.522336821035), (51, 795.0), (54, 908.0)]
+        assert _sha256(out) == "8558dfd58b63a0951dfd0d5dd410e46871d55553b1ca463ab393d136d191605a"
+        # (iterations, stretch_total) per row, recorded with the digest.
+        # Plain CG moves by a few iterations under any reordering of its
+        # rounding (63, 62, 51, 54 -> 62, 61, 48, 55 when PCG moved onto the
+        # split system), so the +-2% bound holds for the sweep's total
+        want = [(26, 215.54335642319793), (27, 292.3819922851624), (51, 800.0), (57, 1272.0)]
         lines = out.read_text().splitlines()[1:]
         rows = [(int(line.split(",")[4]), float(line.split(",")[2])) for line in lines]
         assert [st for _, st in rows] == [st for _, st in want]
@@ -668,12 +672,14 @@ class TestSolve:
     @pytest.mark.parametrize("tree, x_digest, sidecar_digest", [
         ("maxw", "e94e4a97f69bc56df765edf922a919d39872abbec375dd234fabcc22d2b6e19c",
          "f427a72aa62b3c29ff579db72a58c683954e6d89ad4c57284560aaca88552298"),
-        ("akpw", "b74afb51598780c041979d57d1c4ac911a028517caf5ad71785d00d168c69262",
-         "35c60af141cd4cc84149c1db3e326adc530f2edacb1c2d6e47e1c6561daea8c0"),
-    ])
+        ("akpw", "9dd130d0b3926971a6d15c25a81e8d39eb8a587fe2ba9a7138e6eccd3ac996a7",
+         "c3807af2ca572d2df3a274da8fc177ddad30c81255a29aee1424f8a09401f6a6"),
+    ], ids=["maxw", "akpw"])
     def test_solution_bytes_pinned(self, tmp_path, tree, x_digest, sidecar_digest):
         # sha256 recorded at the commit that moved PCG onto the tree-split
-        # system; the last bits of x and final_residual moved by design
+        # system (the last bits of x and final_residual moved by design);
+        # akpw's at the commit that gave akpw weight classes and
+        # Miller-Peng-Xu clustering
         gp, bp, out = tmp_path / "g.txt", tmp_path / "b.txt", tmp_path / "x.txt"
         assert main(["gen", "--gen", "grid:30x30:logw", "--seeds", "0", "--out", str(gp)]) == 0
         bp.write_text("".join(f"{(i * 7919) % 13 - 6.0!r}\n" for i in range(900)))
@@ -681,9 +687,10 @@ class TestSolve:
                      "--out", str(out)]) == 0
         assert _sha256(out) == x_digest
         assert _sha256(tmp_path / "x.txt.json") == sidecar_digest
-        # (iterations, stretch_total) recorded before the split
+        # (iterations, stretch_total) recorded before the split, akpw's with
+        # its digests
         iterations, stretch_total = {"maxw": (70, 2702.800203139761),
-                                     "akpw": (282, 35624.76990465975)}[tree]
+                                     "akpw": (72, 2783.529468531299)}[tree]
         sidecar = json.loads((tmp_path / "x.txt.json").read_text())
         assert sidecar["converged"]
         assert abs(sidecar["iterations"] - iterations) <= 0.02 * iterations
@@ -726,23 +733,24 @@ class TestGenAndStretch:
 
     @pytest.mark.parametrize("spec, tree, digests", [
         ("grid:12x12:logw", "akpw", {
-            "csv": "fb9b57aafa5ff0779b507d5cfdb405a99501950cef71ccb93ad80843bb9eaefe",
-            "json": "3299f7e87b52bfaefef126eb0675d66e03e5c068f72cb3e5b2ba93d4fb9dec92",
+            "csv": "c5e912bce767367341682ad28ae12a831ddfab17c36a2a01b0c38d76fbbc9360",
+            "json": "1e5c5f010b3c8a8e7066c18397b00353af76f11def607efb43464bb10e7f2628",
         }),
         ("gnp:n=200,p=0.05:logw", "maxw", {
             "csv": "c238e1a3f3452df6d206b0eb024cd01f76bf128c8fe0bd907dc86c28bc2ef15b",
             "json": "5b9be3c32390607b6286137dee8969e2c587eb4914d508fbc8f948bb8aeead22",
         }),
-        # unit weights tie everywhere, so akpw's adjacency order picks the
-        # tree; recorded at the commit before akpw's rounds ran on arrays
+        # unit weights tie everywhere, so edge ids break akpw's ties
         ("regular:n=2000,d=4:unit", "akpw", {
-            "csv": "0e038110577ee9205f543a73bb383cd7ef34a96c10045d8aa99a04cd51c5de19",
-            "json": "32eaeb635d122b2760bab83402d5f6238aef8b78ae8b0465ffbe61e2ba0183b6",
+            "csv": "74047fb9fae8fabd537bfb9a5b6a98771141a132a7e09d38cfb0feea01cc8a91",
+            "json": "e8a434aca925771831eab4e8c373ef396580932230a3f25399b6f7c684a3a3a9",
         }),
     ])
     def test_stretch_report_bytes_pinned(self, tmp_path, spec, tree, digests):
         # sha256 of reports written by the per-edge scalar implementation
-        # (seed 0); any change to a last bit of a stretch value fails here
+        # (seed 0), akpw's re-recorded when its tree became weight classes
+        # with Miller-Peng-Xu clustering; any change to a last bit of a
+        # stretch value fails here
         prefix = tmp_path / "rep"
         assert main(["stretch", "--gen", spec, "--tree", tree, "--out", str(prefix)]) == 0
         for ext, digest in digests.items():

@@ -517,6 +517,26 @@ def test_a_norm_error_matches_a_dense_reference(spec, tree):
     assert abs(out.a_norm_history[-1] - want) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plain_pcg_converges_with_weights_over_eight_decades(seed):
+    """Plain CG (no reorthogonalization) with akpw's tree on weights
+    10^U(-4, 4), against a grounded dense LU solve.  Here the akpw tree of
+    ball growing by hops had stretch 1.3e9-2.4e9, and CG used up the 4n
+    budget unconverged with A-norm errors 0.04-0.31; the weight-class tree
+    measured 38-42 iterations and errors 3.8e-10 to 6.8e-10."""
+    rng = np.random.default_rng(seed)
+    g = generate("gnp:n=450,p=0.02:unit", seed)
+    g = WeightedGraph(g.n, np.column_stack((g.edge_u, g.edge_v, 10.0 ** rng.uniform(-4.0, 4.0, g.m))))
+    b = rng.standard_normal(g.n)
+    b -= b.mean()
+    x_true = np.zeros(g.n)
+    x_true[1:] = np.linalg.solve(dense_laplacian(g)[1:, 1:], b[1:])
+    x_true -= x_true.mean()
+    cfg = PcgConfig(epsilon=1e-8, max_iterations=4 * g.n)
+    out = pcg_solve(g, factor(build_tree(g, "akpw", seed)), b, cfg, x_true=x_true)
+    assert out.converged and out.a_norm_error <= cfg.epsilon
+
+
 class TestBlockReorthogonalization:
     """The block projection (classical Gram-Schmidt, two passes) against a
     per-vector loop on the same split system, and against the x-space loop
@@ -581,14 +601,17 @@ class TestBlockReorthogonalization:
             assert max_off_orthonormality(kept) <= 2e-14
 
     def test_kept_rows_stay_orthonormal_with_weights_over_eight_decades(self):
-        # graph and tree weights spread over eight decades; 238 iterations.
-        # Measured 3.1e-13, and 6.0e-13 for the per-vector loop on this run
+        # graph and tree weights spread over eight decades.  The lightest
+        # spanning tree keeps CG going for 448 iterations (akpw's tree stops
+        # at 33); measured 5.3e-16
         rng = np.random.default_rng(1)
         g = generate("gnp:n=450,p=0.02:unit", 1)
         edges = np.array(g.edges)
         edges[:, 2] = 10.0 ** rng.uniform(-4.0, 4.0, g.m)
         g = WeightedGraph(g.n, edges)
-        f = factor(build_tree(g, "akpw", 1))
+        weight = {(u, v): w for u, v, w in g.edges}
+        lightest = max_weight_spanning_tree(WeightedGraph(g.n, [(u, v, 1.0 / w) for u, v, w in g.edges]))
+        f = factor(SpanningTree.from_edges(g.n, [(u, v, weight[u, v]) for u, v, _ in lightest.edges]))
         b = rng.standard_normal(g.n)
         b -= b.mean()
         out, kept = solve_keeping_rows(g, f, b, verify_config(g.n))
