@@ -115,17 +115,6 @@ def pair_order(n: int, a, b) -> np.ndarray:
     return np.argsort(a * n + b)
 
 
-def stable_order(key, bound: int) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for int64 keys in 0..bound-1.  One
-    argsort of the unique key key * k + position (k = len(key)), which is
-    below bound * k and so exact in int64 while bound * k < 2**63; past
-    that, the stable sort itself."""
-    k = len(key)
-    if int(bound) * k >= 2**63:
-        return np.argsort(key, kind="stable")
-    return np.argsort(key * k + np.arange(k))
-
-
 def components(n: int, u, v) -> np.ndarray:
     """Each vertex's component label, the smallest vertex id in its component,
     for the graph on 0..n-1 with edges (u[i], v[i]).
@@ -299,7 +288,7 @@ def _random_regular(n: int, d: int, seed: int):
     while edges is None:
         edges = _pair_stubs(n, d, rng)
     uv = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)).reshape(-1, 2)
-    return uv[stable_order(uv[:, 0], n)].T
+    return uv[np.argsort(uv[:, 0], kind="stable")].T
 
 
 def _pair_stubs(n: int, d: int, rng: random.Random):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, _id_text, _jump, components, is_connected, pair_order, stable_order, write_json
+from .graphs import WeightedGraph, _id_text, _jump, components, is_connected, pair_order, write_json
 
 
 class TreeError(ValueError):
@@ -91,9 +91,10 @@ class SpanningTree:
         _check_root(root, n)
         _check_links(parent, parent_weight, root)
         parent = parent.astype(np.int64, copy=False)
-        # children in descending id; the root (parent -1) sorts first.  Not
-        # stable_order: numpy's stable sort takes the runs of path- and
-        # star-like parent arrays in O(n) (2.4 against 8.7 ms on a 2^18 path).
+        # children in descending id; the root (parent -1) sorts first.  numpy's
+        # stable sort takes the runs of path- and star-like parent arrays in
+        # O(n) (2.4 ms on a 2^18 path, against 8.7 for an argsort of the
+        # unique key parent * n + position).
         kids = n - 1 - np.argsort(parent[::-1], kind="stable")[1:]
         order, slot = _preorder(kids, np.bincount(parent[kids], minlength=n), root)
         if len(order) != n:
@@ -308,62 +309,6 @@ def stretch_report(g: WeightedGraph, t: SpanningTree) -> StretchReport:
 # constructions
 
 
-def max_weight_spanning_tree(g: WeightedGraph) -> SpanningTree:
-    """Kruskal's tree on descending weight, ties broken by canonical edge
-    order, built by Borůvka rounds: each round, every component picks its
-    crossing edge of smallest key (-w, u, v), and the components joined by
-    the picked edges merge.  No two edges share (u, v), so the key is a
-    strict total order; the maximum spanning tree under it is then unique
-    and holds the smallest-key edge out of any vertex set (cut property),
-    so Borůvka picks exactly Kruskal's edges.
-
-    Maximizing tree weight minimizes each 1/w term available to tree paths,
-    making this a cheap baseline preconditioner tree.
-    """
-    if not is_connected(g):
-        raise TreeError("graph must be connected")
-    n, m = g.n, g.m
-    # key (-w, u, v): g's edges are in (u, v) order, which a stable sort keeps
-    idx = np.argsort(-g.edge_w, kind="stable")
-    su, sv = g.edge_u[idx], g.edge_v[idx]               # an edge's rank is its position
-    live = np.arange(m)             # ranks of the edges that may still cross
-    label = np.arange(n)            # each vertex's component, by its smallest vertex
-    chosen = [live[:0]]
-    while len(live):
-        lu, lv = label[su[live]], label[sv[live]]
-        cross = lu != lv
-        live, lu, lv = live[cross], lu[cross], lv[cross]
-        best = np.full(n, m)
-        np.minimum.at(best, lu, live)
-        np.minimum.at(best, lv, live)
-        # each picked rank once, though both its ends may have picked it
-        picked = np.flatnonzero(np.bincount(best[best < m], minlength=m))
-        chosen.append(picked)
-        label = components(n, label[su[picked]], label[sv[picked]])[label]
-    chosen = idx[np.concatenate(chosen)]
-    return SpanningTree.from_edges(n, np.column_stack((g.edge_u[chosen], g.edge_v[chosen], g.edge_w[chosen])))
-
-
-def _contract(u, v, w, eid, cluster, k):
-    """The edges (u[i], v[i]) with weights w and original ids eid, between
-    the k clusters ``cluster`` labels: of each pair of clusters the heaviest
-    edge, the first in edge order among equals, sorted by the pair."""
-    cu, cv = cluster[u], cluster[v]
-    keep = cu != cv
-    # pair < k**2 <= n**2, exact in int64 while n < 3.0e9 (the four edge
-    # arrays alone would then take 96 GB)
-    pair = (np.minimum(cu, cv) * k + np.maximum(cu, cv))[keep]
-    idx = stable_order(pair, k * k)         # each pair's edges in edge order
-    pair, w, eid = pair[idx], w[keep][idx], eid[keep][idx]
-    first = np.concatenate((pair[:1] >= 0, pair[1:] != pair[:-1]))    # each pair's first edge
-    start = first.nonzero()[0]
-    heaviest = np.maximum.reduceat(w, start)[np.cumsum(first) - 1]
-    # each pair's first edge of its largest weight
-    pick = np.minimum.reduceat(np.where(w == heaviest, np.arange(len(w)), len(w)), start)
-    cu, cv = np.divmod(pair[pick], k)
-    return cu, cv, w[pick], eid[pick]
-
-
 def _stable_argsort(x) -> np.ndarray:
     """``np.argsort(x, kind="stable")``, by the default sort when x has no
     ties, so that the order is unique: about 6x faster on 60,000 random floats."""
@@ -373,10 +318,70 @@ def _stable_argsort(x) -> np.ndarray:
     return order
 
 
+def _tree_by_rounds(g: WeightedGraph, by_rank, clusters) -> SpanningTree:
+    """The tree of the edges that ``clusters`` picks, round by round, until
+    one cluster is left.  ``by_rank`` lists g's edge ids by (-w, id); an
+    edge's rank is its place there.  Each round, ``clusters(n, u, v, rank)``
+    clusters the vertices 0..n-1 over the edges (u[i], v[i]) of rank
+    rank[i], listed in rank order, and returns each vertex's root (a vertex
+    of its cluster that is its own root) and the ranks of the edges it
+    picked.  Each cluster then becomes one vertex, numbered in root order,
+    and the edges inside a cluster are dropped; parallel edges stay, still
+    in rank order, so that an edge's place orders it as its rank does."""
+    if not is_connected(g):
+        raise TreeError("graph must be connected")
+    u, v, rank = g.edge_u[by_rank], g.edge_v[by_rank], np.arange(g.m)
+    n, chosen = g.n, [rank[:0]]
+    while n > 1:
+        root, picked = clusters(n, u, v, rank)
+        chosen.append(picked)
+        label = np.cumsum(root == np.arange(n)) - 1
+        n = int(label[-1]) + 1
+        label = label[root]
+        u, v = label[u], label[v]
+        keep = u != v
+        u, v, rank = u[keep], v[keep], rank[keep]
+    chosen = by_rank[np.concatenate(chosen)]
+    return SpanningTree.from_edges(g.n, np.column_stack((g.edge_u[chosen], g.edge_v[chosen], g.edge_w[chosen])))
+
+
+def _boruvka_round(n, u, v, rank):
+    """Borůvka's round: each vertex picks its edge of least rank, its first
+    in the list, and the picked edges join their ends (``components``)."""
+    first = np.full(n, len(u))
+    place = np.arange(len(u))
+    np.minimum.at(first, u, place)
+    np.minimum.at(first, v, place)
+    return components(n, u[first], v[first]), rank[np.unique(first)]
+
+
+def max_weight_spanning_tree(g: WeightedGraph) -> SpanningTree:
+    """Kruskal's tree on descending weight, ties broken by canonical edge
+    order, built by Borůvka rounds (``_tree_by_rounds``): each round, every
+    cluster picks its crossing edge of least rank by (-w, edge id), and the
+    clusters joined by the picked edges merge.  No two edges share a rank,
+    so the maximum spanning tree under it is unique and holds the least-rank
+    edge out of any vertex set (cut property): Borůvka picks exactly
+    Kruskal's edges.
+
+    Maximizing tree weight minimizes each 1/w term available to tree paths,
+    making this a cheap baseline preconditioner tree.
+    """
+    return _tree_by_rounds(g, _stable_argsort(-g.edge_w), _boruvka_round)
+
+
 # AKPW's weight classes are factors of z = 2**_LOG2_Z = 2 apart and the shifts
 # are drawn at rate _BETA, chosen by measured stretch, iterations and build time
 _LOG2_Z = 1
 _BETA = 0.35
+
+
+def _weight_classes(w) -> np.ndarray:
+    """AKPW's class floor(log_z(w[0] / w[i])) of each weight of w, heaviest
+    first.  Taken from mantissas and exponents, as the quotient itself
+    overflows when the weights span more than 2**1024."""
+    frac, exp = np.frexp(w)
+    return np.floor((np.log2(frac[:1] / frac) + (exp[:1] - exp)) / _LOG2_Z)
 
 
 def _shifted_clusters(n, u, v, rank, bits, rng):
@@ -388,7 +393,8 @@ def _shifted_clusters(n, u, v, rank, bits, rng):
     layers, the centre's rank by fraction, the edge's rank), falls by
     Bellman-Ford passes over the edges of the vertices whose key fell last
     pass: one pass per hop of the widest cluster.  Returns each vertex's
-    cluster (numbered by centre), their number, and the edges' ranks."""
+    centre, a centre its own, and the ranks of the edges that reached the
+    other vertices."""
     delta = rng.exponential(1.0 / _BETA, n)
     wake = delta.max() - delta
     layer = np.floor(wake)
@@ -408,40 +414,30 @@ def _shifted_clusters(n, u, v, rank, bits, rng):
         np.minimum.at(key, head[live], (key[tail[live]] & whole) + hop[live])
         live = (key < old)[tail].nonzero()[0]
     centre = by_fraction[(key >> bits) % n]
-    own = centre == np.arange(n)
-    label = np.cumsum(own) - 1
-    return label[centre], int(label[-1]) + 1, (key & ~whole)[~own]
+    return centre, (key & ~whole)[centre != np.arange(n)]
 
 
 def low_stretch_heuristic_tree(g: WeightedGraph, seed: int) -> SpanningTree:
     """AKPW tree (Alon, Karp, Peleg & West) of weight classes, clustered by
     Miller-Peng-Xu random shifts.  Edge e has class floor(log_z(w_max / w_e));
-    round j clusters the contracted graph over its edges of class <= j (or
-    the next class that has one), the edges that reached the vertices join
-    the tree, and the clusters contract (``_contract``) until one vertex
-    remains.  No stretch guarantee is claimed; stretch is always measured
-    exactly afterwards.
+    round j clusters the graph of the clusters so far (``_tree_by_rounds``)
+    over its edges of class <= j (or the next class that has one), and the
+    edges that reached the vertices join the tree.  Between two clusters the
+    edge of least rank by (-w, edge id) is the one that counts.  No stretch
+    guarantee is claimed; stretch is always measured exactly afterwards.
     """
-    if not is_connected(g):
-        raise TreeError("graph must be connected")
     rng = np.random.default_rng([int(seed), 0xA5])
-    # the multigraph over supervertices, each edge with its rank by (-w, edge
-    # id): at first in rank order, after a contraction sorted by (u, v)
-    n_cur, m = g.n, g.m
     by_rank = _stable_argsort(-g.edge_w)
-    u, v, w, rank = g.edge_u[by_rank], g.edge_v[by_rank], g.edge_w[by_rank], np.arange(m)
-    weight_class = np.floor(np.log2(w.max(initial=0.0) / w) / _LOG2_Z)
-    bits = max(m - 1, 1).bit_length()               # rank < 2**bits
-    j, chosen = 0.0, [rank[:0]]
-    while n_cur > 1:
+    weight_class = _weight_classes(g.edge_w[by_rank])
+    bits = max(g.m - 1, 1).bit_length()               # rank < 2**bits
+    j = 0.0
+
+    def clusters(n, u, v, rank):
+        nonlocal j
         cls = weight_class[rank]
         j = max(j, cls.min())
         act = cls <= j
-        cluster, n_next, ranks = _shifted_clusters(n_cur, u[act], v[act], rank[act], bits, rng)
-        chosen.append(ranks)
-        u, v, w, rank = _contract(u, v, w, rank, cluster, n_next)
-        n_cur = n_next
         j += 1
-    chosen = by_rank[np.concatenate(chosen)]
-    edges = np.column_stack((g.edge_u[chosen], g.edge_v[chosen], g.edge_w[chosen]))
-    return SpanningTree.from_edges(g.n, edges)
+        return _shifted_clusters(n, u[act], v[act], rank[act], bits, rng)
+
+    return _tree_by_rounds(g, by_rank, clusters)

@@ -1,8 +1,10 @@
+import copy
 import csv
 import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from treepcg import (
     stretch_report,
     tree_spans,
 )
-from treepcg import graphs, trees
+from treepcg import trees
 from treepcg.graphs import _grid_edges
 from treepcg.trees import StretchReport
 
@@ -225,17 +227,24 @@ class TestHeuristicTree:
         assert np.median(iterations) <= want_iterations
 
 
+def exact_log2_floor(r):
+    """floor(log2(r)) of a positive Fraction, in exact arithmetic."""
+    k = r.numerator.bit_length() - r.denominator.bit_length()
+    return k if r >= Fraction(2) ** k else k - 1
+
+
 def reference_akpw_edges(g, seed):
     """akpw one vertex at a time: each round, one BFS per vertex c over the
     edges of class <= j; each vertex v joins the c of least hops(c, v) - delta_c,
     ties to the smaller fraction of max(delta) - delta_c, over its edge of
     largest weight, then smallest id, from a vertex of c one hop nearer c;
-    clusters numbered by their centres contract by a dict.  Returns the tree
-    edges it chose, for SpanningTree.from_edges."""
+    clusters numbered by their centres contract by a dict, which keeps the
+    edge of least rank (largest weight, then smallest id) between two
+    clusters.  Returns the tree edges it chose, for SpanningTree.from_edges."""
     rng = np.random.default_rng([int(seed), 0xA5])
     edges = list(zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()))
     w_max = max((w for _, _, w in edges), default=0.0)
-    weight_class = [math.floor(math.log2(w_max / w) / trees._LOG2_Z) for _, _, w in edges]
+    weight_class = [exact_log2_floor(Fraction(w_max) / Fraction(w)) // trees._LOG2_Z for _, _, w in edges]
     order = {e: (-edges[e][2], e) for e in range(len(edges))}     # heavier, then smaller id
     cur_edges = [(u, v, w, e) for e, (u, v, w) in enumerate(edges)]
     n_cur, j, chosen = g.n, 0, []
@@ -274,7 +283,7 @@ def reference_akpw_edges(g, seed):
                 continue
             key = (cu, cv) if cu < cv else (cv, cu)
             best = next_edges.get(key)
-            if best is None or w > best[0]:
+            if best is None or order[e] < order[best[1]]:
                 next_edges[key] = (w, e)
         cur_edges = [(u, v, w, e) for (u, v), (w, e) in sorted(next_edges.items())]
         n_cur = len(label)
@@ -293,7 +302,7 @@ class TestHeuristicTreeArrays:
     # unit weights tie on every edge, so edge ids decide which edge reaches a vertex
     @pytest.mark.parametrize("spec", [
         "grid:14x11:unit", "grid:14x11:logw", "gnp:n=300,p=0.015:unit", "gnp:n=300,p=0.015:logw",
-        "regular:n=300,d=4:unit", "regular:n=300,d=3:logw",
+        "regular:n=300,d=4:unit", "regular:n=300,d=3:logw", "grid:20x20:unit",
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equal_to_tuple_list_rounds(self, spec, seed):
@@ -326,21 +335,38 @@ class TestHeuristicTreeArrays:
         with pytest.raises(TreeError, match="overflow int64"):
             trees._shifted_clusters(4, u, v, np.arange(3), 61, np.random.default_rng(0))
 
+    # the desk specs, the benchmark's akpw graph and the specs of the pinned akpw outputs
+    @pytest.mark.parametrize("spec", [
+        "grid:20x20:logw", "gnp:n=450,p=0.02:logw", "regular:n=400,d=4:unit",
+        "regular:n=30000,d=4:logw", "grid:30x30:logw", "grid:12x12:logw", "grid:30x30:unit",
+    ])
+    def test_weight_classes_equal_quotient_classes(self, spec):
+        # the classes floor(log2(w_max / w)) that the pins were recorded with
+        for seed in range(10):
+            w = np.sort(generate(spec, seed).edge_w)[::-1]
+            assert np.array_equal(trees._weight_classes(w), np.floor(np.log2(w[0] / w) / trees._LOG2_Z))
 
-def lexsort_contract(u, v, w, eid, cluster, k):
-    """The contraction as a three-key lexsort did it before the pair key and
-    the segmented maximum: key (pair, -w, edge order), first of each pair."""
-    cu, cv = cluster[u], cluster[v]
-    keep = cu != cv
-    lo = np.minimum(cu, cv)[keep]
-    hi = np.maximum(cu, cv)[keep]
-    w, eid = w[keep], eid[keep]
-    idx = np.lexsort((-w, hi, lo))
-    lo, hi = lo[idx], hi[idx]
+    @pytest.mark.filterwarnings("error")
+    def test_weights_over_the_whole_float_range(self):
+        # w_max / w overflows past a span of 2**1024: 2**1023 / 5e-324 = 2**2097
+        w = np.array([2.0**1023, 3.0, 1.0, 1e-300, 5e-324])
+        assert trees._weight_classes(w).tolist() == [0, 1021, 1023, 2019, 2097]
+        g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 5e-324), (2, 3, 1e300), (0, 3, 2.0), (0, 2, 1e-200)])
+        for seed in range(3):
+            t = low_stretch_heuristic_tree(g, seed)
+            assert t.edges == SpanningTree.from_edges(g.n, reference_akpw_edges(g, seed)).edges
+
+
+def lexsort_contract(u, v, rank):
+    """The edges (u[i], v[i]) of rank rank[i] as a contraction keeps them: of
+    each pair of ends the edge of least rank, by a three-key lexsort, and
+    the kept edges in rank order."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    idx = np.lexsort((rank, hi, lo))
     first = np.ones(len(idx), dtype=bool)
-    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    idx = idx[first]
-    return lo[first], hi[first], w[idx], eid[idx]
+    first[1:] = (lo[idx[1:]] != lo[idx[:-1]]) | (hi[idx[1:]] != hi[idx[:-1]])
+    idx = np.sort(idx[first])
+    return u[idx], v[idx], rank[idx]
 
 
 def format_csv(rep):
@@ -359,36 +385,34 @@ class TestSortKeys:
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_akpw_rounds_equal_lexsort_rounds(self, monkeypatch, spec, seed):
-        calls = {"order": 0, "contract": 0}
+        # each round clusters the uncontracted graph, parallel edges and
+        # all; contracted to each pair's least-rank edge, it clusters alike
+        parallel = []
 
-        def order(key, bound):
-            got = graphs.stable_order(key, bound)
-            assert np.array_equal(got, np.argsort(key, kind="stable"))
-            calls["order"] += 1
+        def clusters(n, u, v, rank, bits, rng):
+            twin = copy.deepcopy(rng)
+            got = shifted_clusters(n, u, v, rank, bits, rng)
+            contracted = lexsort_contract(u, v, rank)
+            for a, b in zip(got, shifted_clusters(n, *contracted, bits, twin), strict=True):
+                assert np.array_equal(a, b)
+            parallel.append(len(u) - len(contracted[0]))
             return got
 
-        def contract(*args):
-            got = real_contract(*args)
-            for a, b in zip(got, lexsort_contract(*args), strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-            calls["contract"] += 1
-            return got
-
-        real_contract = trees._contract
-        monkeypatch.setattr(trees, "stable_order", order)
-        monkeypatch.setattr(trees, "_contract", contract)
+        shifted_clusters = trees._shifted_clusters
+        monkeypatch.setattr(trees, "_shifted_clusters", clusters)
         g = generate(spec, seed)
         low_stretch_heuristic_tree(g, seed)
-        # one contraction per round, and its one sort the only one
-        assert calls["contract"] >= 2 and calls["order"] == calls["contract"]
+        assert len(parallel) >= 2 and max(parallel) > 0
 
     @pytest.mark.parametrize("spec", ["grid:15x20", "gnp:n=300,p=0.02", "regular:n=300,d=4"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_maxw_order_equals_lexsort(self, spec, seed):
-        # the trees themselves: TestMaxWeightTree::test_equal_to_union_find_kruskal
-        g = generate(f"{spec}:unit", seed)
-        assert np.array_equal(np.argsort(-g.edge_w, kind="stable"),
-                              np.lexsort((g.edge_v, g.edge_u, -g.edge_w)))
+        # the rank order of both builders; the trees themselves:
+        # TestMaxWeightTree::test_equal_to_union_find_kruskal
+        for weights in ("unit", "logw"):
+            g = generate(f"{spec}:{weights}", seed)
+            assert np.array_equal(trees._stable_argsort(-g.edge_w),
+                                  np.lexsort((g.edge_v, g.edge_u, -g.edge_w)))
 
     def test_csv_bytes_equal_format_rows(self, tmp_path):
         # values where repr switches between fixed and exponent form
