@@ -38,7 +38,6 @@ from .pcg import (
     PcgDivergenceError,
     PcgError,
     PcgOutcome,
-    exact_spectrum_bound,
     iteration_bound,
     pcg_solve,
     stretch_only_bound,
@@ -47,6 +46,7 @@ from .spectral import (
     SpectralSummary,
     dense_tree_laplacian,
     exact_qul,
+    exact_spectrum_bound,
     generalized_spectrum,
     tail_count,
 )

@@ -31,8 +31,8 @@ from .graphs import (
     write_json,
     write_vector,
 )
-from .pcg import PcgConfig, PcgError, exact_spectrum_bound, pcg_solve, stretch_only_bound, _snapped_root
-from .spectral import generalized_spectrum, tail_count
+from .pcg import PcgConfig, PcgError, pcg_solve, stretch_only_bound, _snapped_root
+from .spectral import exact_spectrum_bound, generalized_spectrum, tail_count
 from .treesolver import factor
 from .trees import TreeError, low_stretch_heuristic_tree, max_weight_spanning_tree, stretch_report
 
@@ -333,8 +333,8 @@ def run_solve(graph_path, b_path, tree_method: str, epsilon: float, seed: int = 
 
 def _read_config(path) -> dict:
     """The file's ``key = value`` lines, keys with ``-`` read as ``_``; blank
-    lines and comments as in edge lists.  A key that no option reads is an
-    error, not a setting silently ignored."""
+    lines and comments as in edge lists.  A key that no option reads, or a
+    value outside its flag's choices, is an error, not a setting ignored."""
     cfg = {}
     with open(path) as fh:
         text = fh.read()
@@ -346,6 +346,8 @@ def _read_config(path) -> dict:
         if key not in _DEFAULTS:
             raise CliError(f"{path}:{lineno}: unknown key {k.strip()!r}")
         cfg[key] = v.strip()
+        if key in _CHOICES and cfg[key] not in _CHOICES[key]:
+            raise CliError(f"{path}: bad value for {key}: {cfg[key]!r}")
     return cfg
 
 
@@ -368,6 +370,8 @@ def _check_seeds(seeds, shown) -> None:
     if any(s < 0 for s in seeds):
         raise CliError(f"bad seeds list {shown!r}: seeds must be nonnegative")
 
+
+_CHOICES = {"tree": TREE_METHODS, "checks": CHECKS}
 
 _DEFAULTS = {
     "tree": "maxw",

@@ -386,10 +386,10 @@ def read_edge_list(path) -> WeightedGraph:
             fh.seek(0)
             edges = _parse_edge_lines(path, fh.read())
     del rec     # the records need not outlive the graph build
-    max_id = int(edges[:, :2].max()) if len(edges) else -1
-    if max_id < 0:
+    if not len(edges):
         raise GraphError(f"{path}: no edges")
-    return WeightedGraph(max_id + 1, edges)
+    # at least one vertex, so that a file of negative ids fails on its ids
+    return WeightedGraph(max(int(edges[:, :2].max()) + 1, 1), edges)
 
 
 def _data_lines(text):

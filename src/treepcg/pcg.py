@@ -133,26 +133,6 @@ def stretch_only_bound(total_stretch: float, epsilon: float) -> IterationBound:
     return iteration_bound(q, max(u, 1.0), 1.0, epsilon)
 
 
-def exact_spectrum_bound(summary, total_stretch: float, epsilon: float) -> IterationBound:
-    """Iteration bound evaluated on the exact spectrum: the top
-    ceil(st^(1/3)) eigenvalues are treated as outliers, u sits just below the
-    smallest of them, and l is the observed smallest eigenvalue."""
-    from .spectral import tail_count
-
-    ev = summary.eigenvalues
-    n1 = len(ev)
-    q_target = min(math.ceil(_snapped_root(max(total_stretch, 1.0), 1.0 / 3.0)), n1 - 1)
-    if q_target >= 1:
-        hi = float(ev[-q_target])
-        lo = float(ev[-(q_target + 1)])
-        u = hi * (1.0 - 1e-9) if hi > lo else lo
-    else:
-        u = summary.lambda_max
-    q = tail_count(summary, u)
-    l = summary.lambda_min
-    return iteration_bound(q, max(u, l), l, epsilon)
-
-
 _KEPT_ROWS = 64  # initial rows of the reorthogonalization buffer
 
 

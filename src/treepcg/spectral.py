@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DEFAULT_DENSE_CAP, GraphError, WeightedGraph, dense_laplacian, is_connected, write_json
-from .pcg import SplitSystem
+from .pcg import IterationBound, SplitSystem, iteration_bound, stretch_only_bound
 from .trees import SpanningTree, TreeError, tree_spans
 
 
@@ -136,3 +136,19 @@ def exact_qul(s: SpectralSummary, u: float, use_lambda_min: bool = False):
     q = tail_count(s, u)
     l = s.lambda_min if use_lambda_min else 1.0
     return q, float(u), float(l)
+
+
+def exact_spectrum_bound(summary: SpectralSummary, total_stretch: float, epsilon: float) -> IterationBound:
+    """Iteration bound evaluated on the exact spectrum: the top
+    ceil(st^(1/3)) eigenvalues (as ``stretch_only_bound`` counts them) are
+    treated as outliers, u sits just below the smallest of them, and the
+    split is ``exact_qul``'s with l the observed smallest eigenvalue."""
+    ev = summary.eigenvalues
+    outliers = min(stretch_only_bound(max(total_stretch, 1.0), epsilon).q, len(ev) - 1)
+    if outliers >= 1:
+        hi, lo = float(ev[-outliers]), float(ev[-(outliers + 1)])
+        u = hi * (1.0 - 1e-9) if hi > lo else lo
+    else:
+        u = summary.lambda_max
+    q, u, l = exact_qul(summary, u, use_lambda_min=True)
+    return iteration_bound(q, max(u, l), l, epsilon)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -822,6 +823,24 @@ class TestConfigPrecedence:
         assert capsys.readouterr().err == f"error: {cfg}: bad value for {key}: {value!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen", "stretch", "solve", "verify", "scaling"])
+    @pytest.mark.parametrize("key", ["tree", "checks"])
+    def test_config_value_outside_its_choices_exits_2_before_input_is_read(
+            self, tmp_path, monkeypatch, capsys, key, command):
+        def untouched(*args):
+            raise AssertionError("input read")
+
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"{key} = foo\n")
+        monkeypatch.setattr(cli, "generate", untouched)
+        monkeypatch.setattr(cli, "read_edge_list", untouched)
+        monkeypatch.setattr(cli, "parse_generator_spec", untouched)
+        inputs = ["--graph", "g.txt", "--b", "b.txt"] if command == "solve" else ["--gen", "grid:5x5:unit"]
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: bad value for {key}: 'foo'\n"
+        assert not list(tmp_path.glob("out*"))
+
     def test_config_file_read_once(self, tmp_path, monkeypatch):
         cfg = tmp_path / "conf.txt"
         cfg.write_text("tree = akpw\neps = 1e-4\nseeds = 5\nchecks = trace\n")
@@ -868,6 +887,26 @@ class TestImports:
         code = "import sys, treepcg, treepcg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_pcg_loads_without_spectral(self):
+        # the package's __init__ imports every module, so pcg is loaded under
+        # a bare package: whatever then sits in sys.modules, pcg brought in
+        pkg = str(Path(treepcg.__file__).resolve().parent)
+        code = ("import sys, types; pkg = types.ModuleType('treepcg'); "
+                f"pkg.__path__ = [{pkg!r}]; sys.modules['treepcg'] = pkg; "
+                "import treepcg.pcg; print('treepcg.pcg' in sys.modules, 'treepcg.spectral' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True False"
+
+    def test_modules_form_one_chain(self):
+        # each module imports, at any level, only modules before it in the
+        # chain: no module reaches back, as pcg once did into spectral
+        chain = ["graphs", "trees", "treesolver", "pcg", "spectral", "cli"]
+        pkg = Path(treepcg.__file__).resolve().parent
+        for i, name in enumerate(chain):
+            nodes = ast.walk(ast.parse((pkg / f"{name}.py").read_text()))
+            imported = {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level == 1}
+            assert imported <= set(chain[:i]), name
 
     def test_verify_loads_no_scipy(self, tmp_path):
         # the dense oracle and x_true stay on numpy: importing scipy.linalg

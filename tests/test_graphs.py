@@ -553,6 +553,19 @@ class TestEdgeListIO:
         with pytest.raises(GraphError, match=r":1"):
             read_edge_list(p)
 
+    @pytest.mark.parametrize("text, error", [
+        ("-1 -2 1.0\n", "vertex id out of range in edge (-1, -2)"),
+        ("# a comment\n-1 -2 1.0\n", "vertex id out of range in edge (-1, -2)"),
+        ("", "{}: no edges"),
+        ("# a comment\n\n", "{}: no edges"),
+    ])
+    def test_no_edges_only_without_edge_rows(self, tmp_path, text, error):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        with pytest.raises(GraphError) as exc:
+            read_edge_list(p)
+        assert str(exc.value) == error.format(p)
+
 
 def reference_read_edge_list(path):
     """The per-line reader that read_edge_list falls back to, as it was
@@ -576,10 +589,9 @@ def reference_read_edge_list(path):
                 raise GraphError(f"{path}:{lineno}: nonpositive weight {w}")
             values += (u, v, w)
     edges = np.array(values, dtype=np.float64).reshape(-1, 3)
-    max_id = int(edges[:, :2].max()) if len(edges) else -1
-    if max_id < 0:
+    if not len(edges):
         raise GraphError(f"{path}: no edges")
-    return WeightedGraph(max_id + 1, edges)
+    return WeightedGraph(max(int(edges[:, :2].max()) + 1, 1), edges)
 
 
 def reference_read_vector(path):

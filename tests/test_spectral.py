@@ -6,11 +6,13 @@ import pytest
 
 from treepcg import (
     GraphError,
+    IterationBound,
     SpanningTree,
     WeightedGraph,
     dense_laplacian,
     dense_tree_laplacian,
     exact_qul,
+    exact_spectrum_bound,
     generalized_spectrum,
     generate,
     low_stretch_heuristic_tree,
@@ -317,3 +319,13 @@ class TestExactQul:
         s = generalized_spectrum(g, t)
         _, _, l = exact_qul(s, 2.0, use_lambda_min=True)
         assert l == pytest.approx(s.lambda_min)
+
+
+class TestExactSpectrumBound:
+    def test_single_eigenvalue_leaves_no_outlier(self):
+        # one eigenvalue, so none is split off as an outlier: u = lambda_max
+        g = WeightedGraph(2, [(0, 1, 1.0)])
+        t = max_weight_spanning_tree(g)
+        s = generalized_spectrum(g, t)
+        assert s.eigenvalues.tolist() == [1.0] and stretch_report(g, t).total == 1.0
+        assert exact_spectrum_bound(s, 1.0, 1e-8) == IterationBound(q=0, u=1.0, l=1.0, k_bound=10)
