@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ from .graphs import (
     DEFAULT_DENSE_CAP,
     GraphError,
     _data_lines,
+    across_cpus,
     dense_laplacian,
     generate,
     is_connected,
@@ -31,7 +31,7 @@ from .graphs import (
     write_json,
     write_vector,
 )
-from .pcg import PcgConfig, PcgError, pcg_solve, stretch_only_bound, _snapped_root
+from .pcg import PcgConfig, PcgError, pcg_solve, snapped_root, stretch_only_bound
 from .spectral import exact_spectrum_bound, generalized_spectrum, tail_count
 from .treesolver import factor
 from .trees import TreeError, low_stretch_heuristic_tree, max_weight_spanning_tree, stretch_report
@@ -92,10 +92,10 @@ def run_verify(spec: ExperimentSpec) -> dict:
     """Run the full oracle check suite over every seed; returns the report.
 
     The seeds are certified across the CPUs this process may use
-    (``_over_seeds``); the report is the same as from one process.
+    (``across_cpus``); the report is the same as from one process.
     """
     gen = parse_generator_spec(spec.generator)
-    records = _over_seeds(_verify_seed, (spec, gen), spec.seeds)
+    records = list(across_cpus(_verify_seed, (spec, gen), spec.seeds))
     return {
         "spec": {
             "generator": str(gen),
@@ -168,100 +168,6 @@ def _first_accurate_iteration(outcome, epsilon):
     return None
 
 
-# The worker processes of _over_seeds: one pool, made by the first call that
-# can use it and kept, so that later calls find warm interpreters; a call
-# that needs more workers replaces it.  Forked, not spawned: a spawned worker
-# would first re-run the caller's main script, which need not guard its top
-# level; a forked one starts with every module imported, as it was at the
-# fork.  A fork copies only the calling thread, so a caller that runs threads
-# makes its first multi-seed call before it starts them.
-_POOL = None  # (executor, its number of workers)
-
-
-def _over_seeds(fn, args, seeds) -> list:
-    """``[fn(*args, seed) for seed in seeds]``, computed across the CPUs this
-    process may use.
-
-    The seeds are cut into contiguous shares, one per process.  The pool's
-    workers take every share but the first, which this process computes
-    meanwhile.  Results come back in seed order, and the error raised is the
-    one of the earliest seed that fails, as in the plain loop; a worker's
-    error has the worker's traceback as its cause.  Any error, an interrupt
-    too, ends the pool's workers at once, so none goes on with a share whose
-    result is lost; if a worker dies, the call raises ``BrokenProcessPool``.
-    Either way the next call makes a new pool.
-
-    There is one process per usable CPU that BLAS leaves free, and at most
-    one per seed.  Unless the environment caps BLAS's threads, BLAS takes
-    every CPU itself and no worker starts: each process's BLAS threads would
-    contend with the others' (verify on the desk specs ran 2x slower in two
-    processes than in one).
-    """
-    global _POOL
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = max(1, min(len(seeds), cpus // _blas_threads(cpus)))
-    cuts = [len(seeds) * i // k for i in range(k + 1)]
-    shares = [list(seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
-    if k == 1:
-        return _over_share(fn, args, shares[0])
-    if _POOL is None or _POOL[1] < k - 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if _POOL is not None:
-            _POOL[0].shutdown(wait=False)  # idle, or finishing another thread's shares
-        _POOL = ProcessPoolExecutor(k - 1, multiprocessing.get_context("fork"),
-                                    initializer=_start_worker, initargs=(os.getpid(),)), k - 1
-    pool = _POOL[0]
-    try:
-        futures = [pool.submit(_over_share, fn, args, share) for share in shares[1:]]
-        results = _over_share(fn, args, shares[0])
-        for future in futures:
-            results.extend(future.result())
-    except BaseException:
-        if _POOL is not None and _POOL[0] is pool:
-            _POOL = None
-        workers = list((pool._processes or {}).values())  # no public call ends busy workers
-        pool.shutdown(wait=False, cancel_futures=True)
-        for worker in workers:
-            worker.terminate()
-        raise
-    return results
-
-
-def _over_share(fn, args, share) -> list:
-    """One process's share; at module level, so that a worker can unpickle it."""
-    return [fn(*args, seed) for seed in share]
-
-
-def _start_worker(caller: int) -> None:
-    """A pool worker's setup.  An interrupt is the caller's to handle.  The
-    worker exits once the caller has gone, even killed outright: it waits on
-    a queue whose write end the fork also gave it, so it would see no EOF."""
-    import signal
-    import threading
-    import time
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    def watch():
-        while os.getppid() == caller:
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _blas_threads(cpus: int) -> int:
-    """The threads BLAS runs in each process: as the first of its usual
-    variables that is set says, else one per usable CPU."""
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
-
-
 # ---------------------------------------------------------------------------
 # scaling
 
@@ -282,7 +188,7 @@ def run_scaling(generators, tree_method: str, epsilon: float, seeds) -> list:
                     "m": g.m,
                     "seed": seed,
                     "stretch_total": rep.total,
-                    "stretch_cbrt": _snapped_root(rep.total, 1.0 / 3.0),
+                    "stretch_cbrt": snapped_root(rep.total, 1.0 / 3.0),
                     "iterations": out.iterations,
                     "k_bound": st_only.k_bound,
                 }
@@ -332,9 +238,11 @@ def run_solve(graph_path, b_path, tree_method: str, epsilon: float, seed: int = 
 
 
 def _read_config(path) -> dict:
-    """The file's ``key = value`` lines, keys with ``-`` read as ``_``; blank
-    lines and comments as in edge lists.  A key that no option reads, or a
-    value outside its flag's choices, is an error, not a setting ignored."""
+    """The file's ``key = value`` lines, keys with ``-`` read as ``_`` and
+    values parsed as their flags' are; blank lines and comments as in edge
+    lists.  A key that no option reads, or a value that does not parse or is
+    outside its flag's choices, is an error, not a setting ignored, even
+    where a flag overrides it."""
     cfg = {}
     with open(path) as fh:
         text = fh.read()
@@ -343,11 +251,12 @@ def _read_config(path) -> dict:
             raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         k, v = line.split("=", 1)
         key = k.strip().replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _PARSERS:
             raise CliError(f"{path}:{lineno}: unknown key {k.strip()!r}")
-        cfg[key] = v.strip()
-        if key in _CHOICES and cfg[key] not in _CHOICES[key]:
-            raise CliError(f"{path}: bad value for {key}: {cfg[key]!r}")
+        try:
+            cfg[key] = _PARSERS[key](v.strip())
+        except ValueError as exc:
+            raise CliError(f"{path}: bad value for {key}: {v.strip()!r}") from exc
     return cfg
 
 
@@ -371,28 +280,28 @@ def _check_seeds(seeds, shown) -> None:
         raise CliError(f"bad seeds list {shown!r}: seeds must be nonnegative")
 
 
-_CHOICES = {"tree": TREE_METHODS, "checks": CHECKS}
+def _one_of(choices):
+    """A parser that passes a value in ``choices`` and raises ValueError on any other."""
+    return lambda text: choices[choices.index(text)]
+
+
+# each config key's parser; a ValueError (CliError is one) is a bad value
+_PARSERS = {"tree": _one_of(TREE_METHODS), "eps": float, "seeds": _parse_seeds, "dense_cap": int,
+            "checks": _one_of(CHECKS)}
 
 _DEFAULTS = {
     "tree": "maxw",
     "eps": 1e-8,
-    "seeds": "0",
+    "seeds": [0],
     "dense_cap": DEFAULT_DENSE_CAP,
     "checks": "all",
 }
 
 
-def _resolve(args, cfg, key, cast=str):
+def _resolve(args, cfg, key):
     """The flag's value if given, else the config file's, else the default."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError as exc:
-            raise CliError(f"{args.config}: bad value for {key}: {cfg[key]!r}") from exc
-    return _DEFAULTS.get(key)
+    return value if value is not None else cfg.get(key, _DEFAULTS[key])
 
 
 def _add_common(p):
@@ -443,13 +352,13 @@ def main(argv=None) -> int:
     try:
         cfg = _read_config(args.config) if args.config else {}
         tree_method = _resolve(args, cfg, "tree")
-        epsilon = float(_resolve(args, cfg, "eps", float))
+        epsilon = _resolve(args, cfg, "eps")
         # before any input is read or generated, which pcg_solve's own check
         # comes after; verify's ExperimentSpec checks it as early
         if args.command in ("solve", "scaling") and not (0.0 < epsilon < 1.0):
             raise CliError(f"epsilon must lie in (0, 1), got {epsilon}")
-        seeds = _parse_seeds(_resolve(args, cfg, "seeds"))
-        dense_cap = int(_resolve(args, cfg, "dense_cap", int))
+        seeds = _parse_seeds(args.seeds) if args.seeds is not None else _resolve(args, cfg, "seeds")
+        dense_cap = _resolve(args, cfg, "dense_cap")
         out = args.out
         if out is None and args.command in ("gen", "solve"):
             raise CliError(f"{args.command} requires --out")
@@ -495,7 +404,7 @@ def main(argv=None) -> int:
     except (CliError, GraphError, TreeError, PcgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # BrokenProcessPool: one of verify's workers died
+    except RuntimeError as exc:  # BrokenProcessPool: one of across_cpus's workers died
         from concurrent.futures import BrokenExecutor
 
         if not isinstance(exc, BrokenExecutor):

@@ -115,7 +115,9 @@ def iteration_bound(q: int, u: float, l: float, epsilon: float) -> IterationBoun
     return IterationBound(q=int(q), u=float(u), l=float(l), k_bound=int(q) + tail)
 
 
-def _snapped_root(x: float, power: float) -> float:
+def snapped_root(x: float, power: float) -> float:
+    """``x ** power``, snapped to the nearest integer within 1e-9 relative:
+    the cube root of st = 64 is 4, not 3.9999999999999996."""
     r = x ** power
     nearest = round(r)
     if nearest > 0 and abs(r - nearest) < 1e-9 * max(1.0, nearest):
@@ -128,8 +130,8 @@ def stretch_only_bound(total_stretch: float, epsilon: float) -> IterationBound:
     eigenvalues are assumed in [1, st^(2/3)]."""
     if total_stretch < 1.0:
         raise PcgError(f"total stretch must be >= 1, got {total_stretch}")
-    q = math.ceil(_snapped_root(total_stretch, 1.0 / 3.0))
-    u = _snapped_root(total_stretch, 2.0 / 3.0)
+    q = math.ceil(snapped_root(total_stretch, 1.0 / 3.0))
+    u = snapped_root(total_stretch, 2.0 / 3.0)
     return iteration_bound(q, max(u, 1.0), 1.0, epsilon)
 
 

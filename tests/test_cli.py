@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -329,13 +330,13 @@ os.kill(os.getpid(), signal.SIGKILL)
 # seed 1 keeps the worker busy for a minute
 _EARLY_ERROR = r"""
 import builtins, json, multiprocessing, sys, time
-from treepcg import cli
+from treepcg.graphs import across_cpus
 def certify(seed):
     if seed == 0:
         print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)
         raise getattr(builtins, sys.argv[1])("seed 0")
     time.sleep(60)
-cli._over_seeds(certify, (), [0, 1])
+list(across_cpus(certify, (), [0, 1]))
 """
 
 # on a host that shows eight CPUs, runs of 2, 3 and 2 seeds; the number of
@@ -461,7 +462,7 @@ class TestVerifyAcrossProcesses:
         def die(*args):
             raise BrokenProcessPool("a worker died")
 
-        monkeypatch.setattr(cli, "_over_seeds", die)
+        monkeypatch.setattr(cli, "across_cpus", die)
         assert main(["verify", "--gen", "grid:6x6:logw"]) == 2
         assert capsys.readouterr().err == "error: a worker died\n"
 
@@ -483,6 +484,144 @@ class TestVerifyAcrossProcesses:
         out = _python(code)
         assert out.returncode == 0, out.stderr
         assert report == json.loads(out.stdout)
+
+
+def _stretch_columns(rows: int, seed: int = 0):
+    """(u, v, w, stretch) columns of ``rows`` edges, with values where repr
+    switches between fixed and exponent form."""
+    rng = np.random.default_rng([rows, seed])
+    u = np.sort(rng.integers(0, 10 * rows + 1, rows))
+    v = u + 1 + rng.integers(0, 7, rows)
+    w = 10.0 ** rng.uniform(-20.0, 20.0, rows)
+    s = rng.choice([1.0, 0.1, 5e-324, 1e16, 123456789.0], rows) * rng.uniform(1.0, 300.0, rows)
+    return u, v, w, s
+
+
+def _reference_csv(u, v, w, s) -> bytes:
+    """The stretch CSV as ``csv.writer`` writes it, one row after another."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["u", "v", "w", "stretch"])
+    for row in zip(u.tolist(), v.tolist(), w.tolist(), s.tolist()):
+        writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
+    return out.getvalue().encode()
+
+
+def _save_reports(tmp_path, sizes) -> list:
+    """One .npz of columns per size, for a fresh interpreter to load, and
+    the reference bytes of each."""
+    refs = []
+    for i, rows in enumerate(sizes):
+        cols = _stretch_columns(rows, i)
+        np.savez(tmp_path / f"r{i}.npz", *cols)
+        refs.append(_reference_csv(*cols))
+    return refs
+
+
+_LOAD_REPORT = r"""
+import numpy as np
+from treepcg import StretchReport
+def load(path):
+    with np.load(path) as f:
+        return StretchReport(*(f[f"arr_{i}"] for i in range(4)), 0.0)
+"""
+
+# one report written twice, the second time with any workers the first
+# started; then whether multiprocessing was loaded, and how many workers live
+_WRITE_ONE = _LOAD_REPORT + r"""
+import json, sys
+rep = load(sys.argv[1])
+rep.write_csv(sys.argv[2])
+rep.write_csv(sys.argv[2])
+loaded = "multiprocessing" in sys.modules
+if loaded:
+    import multiprocessing
+print(json.dumps([loaded, loaded and len(multiprocessing.active_children())]))
+"""
+
+# four threads write their own reports, five times each, after one write
+# of the report with the most blocks has started every worker they need
+_WRITE_THREADS = _LOAD_REPORT + r"""
+import sys, threading
+d = sys.argv[1]
+reps = [load(f"{d}/r{i}.npz") for i in range(4)]
+reps[0].write_csv(f"{d}/warm.csv")
+sys.setswitchinterval(1e-5)
+try:
+    threads = [threading.Thread(target=lambda i=i: [reps[i].write_csv(f"{d}/t{i}.{j}.csv") for j in range(5)])
+               for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    print(sum(t.is_alive() for t in threads))
+finally:
+    sys.setswitchinterval(0.005)
+"""
+
+# a stretch run starts the worker; the next run SIGKILLs it as it begins
+_CSV_WORKER_DEATH = r"""
+import json, multiprocessing, os, signal, sys
+from treepcg import trees
+from treepcg.cli import main
+args = ["stretch", "--gen", "regular:n=6000,d=4:logw", "--tree", "akpw", "--out"]
+first = main(args + [sys.argv[1] + "/a"])
+pids = [p.pid for p in multiprocessing.active_children()]
+across_cpus = trees.across_cpus
+def kill_the_worker(*args):
+    os.kill(pids[0], signal.SIGKILL)
+    return across_cpus(*args)
+trees.across_cpus = kill_the_worker
+print(json.dumps([first, main(args + [sys.argv[1] + "/b"]), pids]), flush=True)
+"""
+
+
+class TestStretchCsvAcrossProcesses:
+    """The stretch CSV's blocks are formatted in verify's worker processes
+    too; none of it may show in its bytes, an error or a process left
+    behind.  Each case runs in its own interpreter with BLAS on one thread."""
+
+    @two_cpus
+    @pytest.mark.parametrize("rows", [0, 1, 4096, 4097, 3 * 4096 + 5])
+    def test_bytes_equal_the_serial_reference(self, tmp_path, rows):
+        ref, = _save_reports(tmp_path, [rows])
+        out = _python(_WRITE_ONE, str(tmp_path / "r0.npz"), str(tmp_path / "s.csv"))
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "s.csv").read_bytes() == ref
+        # one block, or none, is formatted here without multiprocessing
+        loaded, workers = json.loads(out.stdout)
+        assert loaded == (rows > 4096) and (workers >= 1) == loaded
+
+    @two_cpus
+    def test_threads_get_their_own_csvs(self, tmp_path):
+        refs = _save_reports(tmp_path, [3 * 4096 + 5, 4097, 9000, 2 * 4096])
+        out = _python(_WRITE_THREADS, str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"
+        for i, ref in enumerate(refs):
+            for j in range(5):
+                assert (tmp_path / f"t{i}.{j}.csv").read_bytes() == ref, (i, j)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_cpu_loads_no_multiprocessing(self, tmp_path):
+        ref, = _save_reports(tmp_path, [3 * 4096 + 5])
+        code = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" + _WRITE_ONE
+        out = _python(code, str(tmp_path / "r0.npz"), str(tmp_path / "s.csv"))
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [False, False]
+        assert (tmp_path / "s.csv").read_bytes() == ref
+
+    @two_cpus
+    def test_a_killed_worker_exits_2(self, tmp_path):
+        out = _python(_CSV_WORKER_DEATH, str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        first, second, pids = json.loads(out.stdout)
+        assert (first, second) == (0, 2) and pids
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
 
 
 class TestScaling:
@@ -839,6 +978,26 @@ class TestConfigPrecedence:
         out = tmp_path / "out"
         assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}: bad value for {key}: 'foo'\n"
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command, key, value, flag", [
+        ("stretch", "eps", "abc", "--eps=1e-4"),
+        ("gen", "seeds", "-1", "--seeds=1"),
+        ("scaling", "seeds", ",", "--seeds=0"),
+        ("verify", "dense_cap", "x", "--dense-cap=30"),
+    ])
+    def test_bad_config_value_exits_2_when_a_flag_overrides_it(
+            self, tmp_path, monkeypatch, capsys, command, key, value, flag):
+        def untouched(*args):
+            raise AssertionError("input read")
+
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"{key} = {value}\n")
+        monkeypatch.setattr(cli, "generate", untouched)
+        monkeypatch.setattr(cli, "parse_generator_spec", untouched)
+        out = tmp_path / "out"
+        assert main([command, "--gen", "grid:3x3:unit", flag, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: bad value for {key}: {value!r}\n"
         assert not list(tmp_path.glob("out*"))
 
     def test_config_file_read_once(self, tmp_path, monkeypatch):
