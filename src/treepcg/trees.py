@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (WeightedGraph, _id_text, _jump, across_cpus, components, is_connected, pair_order,
-                     write_json)
+from .graphs import WeightedGraph, _id_text, _jump, across_cpus, components, is_connected, pair_order, write_json
 
 
 class TreeError(ValueError):
