@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,8 +58,6 @@ class ExperimentSpec:
             raise CliError(f"unknown tree method {self.tree_method!r} (want maxw|akpw)")
         if self.checks not in CHECKS:
             raise CliError(f"unknown checks selector {self.checks!r}")
-        if not self.seeds:
-            raise CliError("at least one seed is required")
         _check_seeds(self.seeds, self.seeds)
         if not (0.0 < self.epsilon < 1.0):
             raise CliError(f"epsilon must lie in (0, 1), got {self.epsilon}")
@@ -97,14 +95,7 @@ def run_verify(spec: ExperimentSpec) -> dict:
     gen = parse_generator_spec(spec.generator)
     records = list(across_cpus(_verify_seed, (spec, gen), spec.seeds))
     return {
-        "spec": {
-            "generator": str(gen),
-            "tree_method": spec.tree_method,
-            "epsilon": spec.epsilon,
-            "seeds": list(spec.seeds),
-            "checks": spec.checks,
-            "dense_cap": spec.dense_cap,
-        },
+        "spec": {**asdict(spec), "generator": str(gen)},
         "records": records,
         "failures": sum(not r["ok"] for r in records),
     }
@@ -160,8 +151,6 @@ def _verify_seed(spec: ExperimentSpec, gen, seed: int) -> dict:
 
 
 def _first_accurate_iteration(outcome, epsilon):
-    if outcome.a_norm_history is None:
-        return None
     for k, err in enumerate(outcome.a_norm_history):
         if err <= epsilon:
             return k
@@ -251,10 +240,10 @@ def _read_config(path) -> dict:
             raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         k, v = line.split("=", 1)
         key = k.strip().replace("-", "_")
-        if key not in _PARSERS:
+        if key not in _OPTIONS:
             raise CliError(f"{path}:{lineno}: unknown key {k.strip()!r}")
         try:
-            cfg[key] = _PARSERS[key](v.strip())
+            cfg[key] = _OPTIONS[key][0](v.strip())
         except ValueError as exc:
             raise CliError(f"{path}: bad value for {key}: {v.strip()!r}") from exc
     return cfg
@@ -265,15 +254,15 @@ def _parse_seeds(text) -> list:
         seeds = [int(s) for s in str(text).split(",") if s != ""]
     except ValueError as exc:
         raise CliError(f"bad seeds list {text!r}") from exc
-    if not seeds:
-        raise CliError(f"bad seeds list {text!r}: at least one seed is required")
     _check_seeds(seeds, text)
     return seeds
 
 
 def _check_seeds(seeds, shown) -> None:
-    """Raise ``CliError``, naming the list as ``shown``, unless every seed is
-    a nonnegative ``int``."""
+    """Raise ``CliError``, naming the list as ``shown``, unless it holds at
+    least one seed and every seed is a nonnegative ``int``."""
+    if not seeds:
+        raise CliError(f"bad seeds list {shown!r}: at least one seed is required")
     if any(not isinstance(s, int) or isinstance(s, bool) for s in seeds):
         raise CliError(f"bad seeds list {shown!r}")
     if any(s < 0 for s in seeds):
@@ -285,23 +274,22 @@ def _one_of(choices):
     return lambda text: choices[choices.index(text)]
 
 
-# each config key's parser; a ValueError (CliError is one) is a bad value
-_PARSERS = {"tree": _one_of(TREE_METHODS), "eps": float, "seeds": _parse_seeds, "dense_cap": int,
-            "checks": _one_of(CHECKS)}
-
-_DEFAULTS = {
-    "tree": "maxw",
-    "eps": 1e-8,
-    "seeds": [0],
-    "dense_cap": DEFAULT_DENSE_CAP,
-    "checks": "all",
+# each option's (parser, default); a ValueError (CliError is one) is a bad value
+_OPTIONS = {
+    "tree": (_one_of(TREE_METHODS), "maxw"),
+    "eps": (float, 1e-8),
+    "seeds": (_parse_seeds, [0]),
+    "dense_cap": (int, DEFAULT_DENSE_CAP),
+    "checks": (_one_of(CHECKS), "all"),
 }
 
 
 def _resolve(args, cfg, key):
-    """The flag's value if given, else the config file's, else the default."""
+    """The flag's value if given, else the config file's, else the default;
+    a flag's value takes the parser a config value takes."""
+    parse, default = _OPTIONS[key]
     value = getattr(args, key, None)
-    return value if value is not None else cfg.get(key, _DEFAULTS[key])
+    return parse(value) if value is not None else cfg.get(key, default)
 
 
 def _add_common(p):
@@ -357,7 +345,7 @@ def main(argv=None) -> int:
         # comes after; verify's ExperimentSpec checks it as early
         if args.command in ("solve", "scaling") and not (0.0 < epsilon < 1.0):
             raise CliError(f"epsilon must lie in (0, 1), got {epsilon}")
-        seeds = _parse_seeds(args.seeds) if args.seeds is not None else _resolve(args, cfg, "seeds")
+        seeds = _resolve(args, cfg, "seeds")
         dense_cap = _resolve(args, cfg, "dense_cap")
         out = args.out
         if out is None and args.command in ("gen", "solve"):
