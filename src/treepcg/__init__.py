@@ -31,15 +31,17 @@ from .trees import (
     stretch_report,
     tree_spans,
 )
-from .treesolver import TreeSolveError, factor, pseudo_solve
 from .pcg import (
     IterationBound,
     PcgConfig,
     PcgDivergenceError,
     PcgError,
     PcgOutcome,
+    TreeSolveError,
+    factor,
     iteration_bound,
     pcg_solve,
+    pseudo_solve,
     stretch_only_bound,
 )
 from .spectral import (

@@ -31,9 +31,8 @@ from .graphs import (
     write_json,
     write_vector,
 )
-from .pcg import PcgConfig, PcgError, pcg_solve, snapped_root, stretch_only_bound
+from .pcg import PcgConfig, PcgError, factor, pcg_solve, snapped_root, stretch_only_bound
 from .spectral import exact_spectrum_bound, generalized_spectrum, tail_count
-from .treesolver import factor
 from .trees import TreeError, low_stretch_heuristic_tree, max_weight_spanning_tree, stretch_report
 
 TREE_METHODS = ("maxw", "akpw")

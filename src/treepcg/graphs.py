@@ -209,18 +209,23 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
             raise GraphError(f"malformed generator spec {text!r}: grid wants ROWSxCOLS")
         params = {"rows": int(m.group(1)), "cols": int(m.group(2))}
     elif kind in ("gnp", "regular"):
+        items = params_str.split(",")
         params = {}
-        for item in params_str.split(","):
+        for item in items:
             if "=" not in item:
                 raise GraphError(f"malformed generator spec {text!r}: bad parameter {item!r}")
             k, v = item.split("=", 1)
             params[k.strip()] = v.strip()
         key, cast = ("p", float) if kind == "gnp" else ("d", int)
+        wants = f"malformed generator spec {text!r}: {kind} wants n=INT,{key}={cast.__name__.upper()}"
+        if len(items) != 2 or params.keys() != {"n", key}:     # each key once, and no other
+            raise GraphError(wants)
         try:
             params = {"n": int(params["n"]), key: cast(params[key])}
-        except (KeyError, ValueError) as exc:
-            want = f"n=INT,{key}={cast.__name__.upper()}"
-            raise GraphError(f"malformed generator spec {text!r}: {kind} wants {want}") from exc
+        except ValueError as exc:
+            raise GraphError(wants) from exc
+        if kind == "gnp" and not 0.0 < params["p"] <= 1.0:     # NaN included
+            raise GraphError(f"malformed generator spec {text!r}: gnp wants 0 < p <= 1")
     else:
         raise GraphError(f"malformed generator spec {text!r}: unknown kind {kind!r}")
     return GeneratorSpec(kind, params, weighting)

@@ -1,17 +1,29 @@
-"""Preconditioned conjugate gradient with a spanning-tree preconditioner.
+"""The spanning-tree preconditioner and the conjugate gradient that uses it.
 
-Grounded at the tree's root, L_T^{-1} = F F^T with F = R W^{-1/2}: in the
-tree's DFS-preorder slots R[s, c-1] = 1 iff c <= s <= last[c], c = 1..n-1,
-and W holds the parent-edge weights of slots 1..n-1 (see ``spectral``).
+For a mean-zero load b on a tree, x = L_T^+ b is the potential of the tree
+flow that b drives: the flow on v's parent edge is the sum of b over v's
+subtree, the drop across that edge is the flow divided by the edge weight,
+and the potential of v is the sum of the drops on its root path (0 at the
+root, centred at the end).  This is leaf elimination, every pivot being a
+parent-edge weight.  Grounded at the root, L_T^{-1} = R W^{-1} R^T = F F^T
+with F = R W^{-1/2}: in the tree's DFS-preorder slots, where every subtree is
+a contiguous range, R[s, c-1] = 1 iff c <= s <= last[c], c = 1..n-1 (slot s
+lies in the subtree at slot c), and W holds the parent-edge weights of slots
+1..n-1.  That layout is all that a solve reads, so the tree is its own
+factorization (``factor``).  ``subtree_sums`` (R^T, the flows) is one prefix
+sum and its differences; ``root_path_sums`` (R, the potentials) is one more,
+of the drops, each taken out again right after its subtree ends.
+``pseudo_solve`` is R W^{-1} R^T between gathers into and out of slot order.
+
 PCG with L_T^+ is plain CG on the split system M y = F^T b, x = F y, whose
 matrix M = F^T L_G F = I + F^T (L_G - L_T) F is, in slot order, the dense
-oracle's; ``SplitSystem`` is its one construction.  The tree's own n-1
-edges leave the multiply: each iteration is one root-path prefix sum (F p),
-one Laplacian multiply over the off-tree edges only, and one subtree prefix
-sum (F^T), each O(n) or O(m - n), on vectors kept in slots 1..n-1, where
-both prefix sums are contiguous.  x is accumulated in slot order from the
-F p that each multiply computes, and mapped back to vertices and centred
-once at the end.  M is grounded, so nothing is re-centred per iteration.
+oracle's; ``SplitSystem`` is its one construction.  The tree's own n-1 edges
+leave the multiply: each iteration is one root-path prefix sum (F p), one
+Laplacian multiply over the off-tree edges only, and one subtree prefix sum
+(F^T), each O(n) or O(m - n) with no per-vertex Python code, on vectors kept
+in slots 1..n-1.  x is accumulated in slot order from the F p that each
+multiply computes, and mapped back to vertices and centred once at the end.
+M is grounded, so nothing is re-centred per iteration.
 
 The stopping rule is the residual measure ||s_k|| = sqrt(r_k^T L_T^+ r_k),
 s_k = F^T r_k, relative to its value at the start; the target A-norm accuracy
@@ -38,10 +50,48 @@ import numpy as np
 
 from .graphs import WeightedGraph, laplacian_apply
 from .trees import SpanningTree, tree_edge_mask
-from .treesolver import root_path_sums, subtree_sums
-# pcg_solve calls the two halves; pseudo_solve stays importable from here
-# because perfbench's tracer wraps it under this module's name.
-from .treesolver import pseudo_solve  # noqa: F401
+
+
+class TreeSolveError(ValueError):
+    """Dimension mismatch in a tree solve."""
+
+
+def factor(t: SpanningTree) -> SpanningTree:
+    """The tree itself: its DFS-preorder layout is all that a solve reads."""
+    return t
+
+
+def subtree_sums(t: SpanningTree, load) -> np.ndarray:
+    """R^T: for each slot 1..n-1, the sum of ``load`` (given in slot order)
+    over the subtree at that slot, by one prefix sum.  For a mean-zero load
+    these are the tree flows on the parent edges."""
+    prefix = np.cumsum(load)
+    return prefix[t.last[1:]] - prefix[:-1]
+
+
+def root_path_sums(t: SpanningTree, drop) -> np.ndarray:
+    """R: the potential at every slot, in slot order, given the drop across
+    the parent edge of each slot 1..n-1; the potential at a slot is the sum
+    of the drops on its root path, and the root sits at 0.  Each drop enters
+    at its own slot and leaves right after its range ends, so this is one
+    prefix sum."""
+    exits = np.bincount(t.last[1:], weights=drop, minlength=t.n)
+    steps = np.empty(t.n)
+    steps[0] = 0.0
+    np.subtract(drop, exits[:-1], out=steps[1:])
+    return np.cumsum(steps, out=steps)
+
+
+def pseudo_solve(t: SpanningTree, b) -> np.ndarray:
+    """Apply the tree Laplacian pseudo-inverse: x = L^+ (b - mean(b))."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (t.n,):
+        raise TreeSolveError(f"vector length {b.shape} does not match n={t.n}")
+    # sum()/n is mean() without its per-call overhead, and bit-identical
+    flow = subtree_sums(t, b[t.order] - b.sum() / t.n)
+    x = root_path_sums(t, flow / t.parent_weight[t.order[1:]])[t.slot]
+    x -= x.sum() / t.n
+    return x
 
 
 class PcgError(ValueError):

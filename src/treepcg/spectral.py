@@ -1,14 +1,12 @@
 """Dense brute-force oracle for the preconditioned spectrum at desk scale.
 
-Grounded at the tree's root, L_T^{-1} = R W^{-1} R^T.  In the tree's
-DFS-preorder slots, R[s, c-1] = 1 iff c <= s <= last[c], c = 1..n-1 (slot s
-lies in the subtree at slot c), and W holds the parent-edge weights of slots
-1..n-1.  With F = R W^{-1/2}, the nonzero generalized eigenvalues of
-(L_G, L_T) are those of M = F^T L_G F, one eigensolve with no pseudo-inverse.
-M is the matrix of ``pcg.SplitSystem``, the one construction, whose edges
-and W^{-1/2} the oracle reads; R comes from broadcast comparisons over the
-layout, not the solver's prefix sums, and is independent of the LCA sparse
-table and root prefix sums behind the stretch report.
+With L_T^{-1} = F F^T, F = R W^{-1/2}, grounded at the tree's root (see
+``pcg``), the nonzero generalized eigenvalues of (L_G, L_T) are those of
+M = F^T L_G F, one eigensolve with no pseudo-inverse.  M is the matrix of
+``pcg.SplitSystem``, the one construction, whose edges and W^{-1/2} the
+oracle reads; R comes from broadcast comparisons over the layout, not the
+solver's prefix sums, and is independent of the LCA sparse table and root
+prefix sums behind the stretch report.
 
 Since F^T L_T F = I exactly, M = I + C^T C, where C has one row
 sqrt(w) (F[u] - F[v]) per off-tree edge (u, v, w).  That sum of positive

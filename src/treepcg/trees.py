@@ -78,7 +78,7 @@ class SpanningTree:
     vertex to its place in it, the subtree at slot p is ``order[p : last[p] + 1]``,
     and ``up[p]`` is the slot of the parent of slot p (-1 at the root).  That
     layout and ``parent_weight`` are all that a tree solve and PCG read: the tree
-    is its own factorization (``treesolver``).  Only the DFS and the resistance
+    is its own factorization (``pcg``).  Only the DFS and the resistance
     prefix sum are per-vertex Python loops.  The LCA table is built lazily on
     first use, so that solve-only workloads at large n never pay its
     O(n log n) cost.

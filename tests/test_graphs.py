@@ -475,6 +475,10 @@ class TestGenerate:
             parse_generator_spec("torus:3x3:unit")
         with pytest.raises(GraphError, match="gnp"):
             parse_generator_spec("gnp:n=10:unit")
+        for spec in ("gnp:n=100,p=0.1,w=3:logw", "regular:n=100,d=4,d=6", "gnp:n=100,p=0.1,n=200",
+                     "gnp:n=50,p=1.5", "gnp:n=50,p=0", "gnp:n=50,p=-0.5", "gnp:n=50,p=nan"):
+            with pytest.raises(GraphError, match="malformed generator spec"):
+                parse_generator_spec(spec)
 
 
 def regular_cases():

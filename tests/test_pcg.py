@@ -25,9 +25,8 @@ from treepcg import (
 )
 from treepcg.cli import build_tree
 from treepcg.graphs import laplacian_apply
-from treepcg.pcg import SplitSystem
+from treepcg.pcg import SplitSystem, pseudo_solve
 from treepcg.spectral import _split_matrix, exact_qul, generalized_spectrum, tail_count
-from treepcg.treesolver import pseudo_solve
 
 
 def triangle_setup():
