@@ -43,14 +43,56 @@ class CliError(ValueError):
     """Bad command-line or config input."""
 
 
+def _parse_seeds(text) -> list:
+    try:
+        seeds = [int(s) for s in str(text).split(",") if s != ""]
+    except ValueError as exc:
+        raise CliError(f"bad seeds list {text!r}") from exc
+    _check_seeds(seeds, text)
+    return seeds
+
+
+def _check_seeds(seeds, shown) -> None:
+    """Raise ``CliError``, naming the list as ``shown``, unless it holds at
+    least one seed and every seed is a nonnegative ``int``."""
+    if not seeds:
+        raise CliError(f"bad seeds list {shown!r}: at least one seed is required")
+    if any(not isinstance(s, int) or isinstance(s, bool) for s in seeds):
+        raise CliError(f"bad seeds list {shown!r}")
+    if any(s < 0 for s in seeds):
+        raise CliError(f"bad seeds list {shown!r}: seeds must be nonnegative")
+
+
+def _one_of(choices):
+    """A parser that passes a value in ``choices`` and raises ValueError on any other."""
+    return lambda text: choices[choices.index(text)]
+
+
+def _epsilon(text) -> float:
+    eps = float(text)
+    if not (0.0 < eps < 1.0):
+        raise CliError(f"epsilon must lie in (0, 1), got {eps}")
+    return eps
+
+
+# each option's (parser, default); a ValueError (CliError is one) is a bad value
+_OPTIONS = {
+    "tree": (_one_of(TREE_METHODS), "maxw"),
+    "eps": (_epsilon, 1e-8),
+    "seeds": (_parse_seeds, [0]),
+    "dense_cap": (int, DEFAULT_DENSE_CAP),
+    "checks": (_one_of(CHECKS), "all"),
+}
+
+
 @dataclass
 class ExperimentSpec:
     generator: str
-    tree_method: str = "maxw"
-    epsilon: float = 1e-8
-    seeds: list = field(default_factory=lambda: [0])
-    checks: str = "all"
-    dense_cap: int = DEFAULT_DENSE_CAP
+    tree_method: str = _OPTIONS["tree"][1]
+    epsilon: float = _OPTIONS["eps"][1]
+    seeds: list = field(default_factory=lambda: list(_OPTIONS["seeds"][1]))
+    checks: str = _OPTIONS["checks"][1]
+    dense_cap: int = _OPTIONS["dense_cap"][1]
 
     def __post_init__(self):
         if self.tree_method not in TREE_METHODS:
@@ -58,8 +100,7 @@ class ExperimentSpec:
         if self.checks not in CHECKS:
             raise CliError(f"unknown checks selector {self.checks!r}")
         _check_seeds(self.seeds, self.seeds)
-        if not (0.0 < self.epsilon < 1.0):
-            raise CliError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        self.epsilon = _epsilon(self.epsilon)
 
 
 def build_tree(g, method: str, seed: int):
@@ -248,41 +289,6 @@ def _read_config(path) -> dict:
     return cfg
 
 
-def _parse_seeds(text) -> list:
-    try:
-        seeds = [int(s) for s in str(text).split(",") if s != ""]
-    except ValueError as exc:
-        raise CliError(f"bad seeds list {text!r}") from exc
-    _check_seeds(seeds, text)
-    return seeds
-
-
-def _check_seeds(seeds, shown) -> None:
-    """Raise ``CliError``, naming the list as ``shown``, unless it holds at
-    least one seed and every seed is a nonnegative ``int``."""
-    if not seeds:
-        raise CliError(f"bad seeds list {shown!r}: at least one seed is required")
-    if any(not isinstance(s, int) or isinstance(s, bool) for s in seeds):
-        raise CliError(f"bad seeds list {shown!r}")
-    if any(s < 0 for s in seeds):
-        raise CliError(f"bad seeds list {shown!r}: seeds must be nonnegative")
-
-
-def _one_of(choices):
-    """A parser that passes a value in ``choices`` and raises ValueError on any other."""
-    return lambda text: choices[choices.index(text)]
-
-
-# each option's (parser, default); a ValueError (CliError is one) is a bad value
-_OPTIONS = {
-    "tree": (_one_of(TREE_METHODS), "maxw"),
-    "eps": (float, 1e-8),
-    "seeds": (_parse_seeds, [0]),
-    "dense_cap": (int, DEFAULT_DENSE_CAP),
-    "checks": (_one_of(CHECKS), "all"),
-}
-
-
 def _resolve(args, cfg, key):
     """The flag's value if given, else the config file's, else the default;
     a flag's value takes the parser a config value takes."""
@@ -340,10 +346,6 @@ def main(argv=None) -> int:
         cfg = _read_config(args.config) if args.config else {}
         tree_method = _resolve(args, cfg, "tree")
         epsilon = _resolve(args, cfg, "eps")
-        # before any input is read or generated, which pcg_solve's own check
-        # comes after; verify's ExperimentSpec checks it as early
-        if args.command in ("solve", "scaling") and not (0.0 < epsilon < 1.0):
-            raise CliError(f"epsilon must lie in (0, 1), got {epsilon}")
         seeds = _resolve(args, cfg, "seeds")
         dense_cap = _resolve(args, cfg, "dense_cap")
         out = args.out

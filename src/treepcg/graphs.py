@@ -38,7 +38,8 @@ class WeightedGraph:
     or an (m, 3) array.  Edges are canonicalized to u < v and sorted, so
     iteration order is reproducible.  An invalid edge raises GraphError for
     the first offender in input order (duplicates: in sorted order).
-    Connectivity is read off :func:`components` at build time.
+    Connectivity is read off :func:`components` at build time; fewer than
+    n - 1 edges never connect n vertices.
     """
 
     __slots__ = ("n", "edge_u", "edge_v", "edge_w", "_connected")
@@ -77,7 +78,7 @@ class WeightedGraph:
         self.edge_u = a
         self.edge_v = b
         self.edge_w = w[idx]
-        self._connected = not components(n, a, b).any()
+        self._connected = n <= len(a) + 1 and not components(n, a, b).any()
 
     @property
     def m(self) -> int:

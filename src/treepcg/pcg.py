@@ -133,16 +133,6 @@ class PcgOutcome:
     a_norm_error: Optional[float] = None
     a_norm_history: Optional[list] = None
 
-    def to_json_dict(self, bound_exact_spectrum=None, bound_stretch_only=None) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_residual": self.final_residual,
-            "bound_exact_spectrum": bound_exact_spectrum,
-            "bound_stretch_only": bound_stretch_only,
-            "a_norm_error": self.a_norm_error,
-        }
-
 
 @dataclass(frozen=True)
 class IterationBound:
@@ -272,9 +262,17 @@ def pcg_solve(
 
     rtol = cfg.effective_residual_tolerance()
 
+    split = SplitSystem(g, t)
+    # s = F^T r is the transformed residual.  s @ s under- or overflows far
+    # from unit scale, so there the system is solved divided by 2^e, exactly.
+    s = split.rhs(bbar)
+    e = math.frexp(np.abs(s).max(initial=0.0))[1]
+    e = e if abs(e) > 100 else 0
+    s = np.ldexp(s, -e)
+
     if x_true is not None:
         su, sv = t.slot[g.edge_u], t.slot[g.edge_v]
-        xt = x_true[t.order]
+        xt = np.ldexp(x_true[t.order], -e)
 
         def a_norm(d):      # edge energy in slot labels (see the module docstring)
             return math.sqrt(float(g.edge_w @ np.square(d[su] - d[sv])))
@@ -284,10 +282,7 @@ def pcg_solve(
         def a_norm_rel_err(x):
             return a_norm(x - xt) / true_norm
 
-    split = SplitSystem(g, t)
-    # x = F y accumulates in slot order; s = F^T r is the transformed residual
-    x = np.zeros(g.n)
-    s = split.rhs(bbar)
+    x = np.zeros(g.n)       # x = F y, accumulated in slot order
     ss = float(s @ s)
     denom = math.sqrt(ss)
     history = [1.0] if cfg.record_history else None
@@ -335,16 +330,13 @@ def pcg_solve(
         ss = ss_new
         p *= beta
         p += s
-    a_err = None
-    if x_true is not None:
-        a_err = a_hist[-1] if a_hist is not None else a_norm_rel_err(x)
     return PcgOutcome(
-        x=split.solution(x),
+        x=np.ldexp(split.solution(x), e),
         iterations=k,
         converged=converged,
         centered_input=centered,
         final_residual=rel,
         residual_history=history,
-        a_norm_error=a_err,
+        a_norm_error=None if x_true is None else a_norm_rel_err(x),
         a_norm_history=a_hist,
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DEFAULT_DENSE_CAP, GraphError, WeightedGraph, dense_laplacian, is_connected, write_json
+from .graphs import DEFAULT_DENSE_CAP, GraphError, WeightedGraph, dense_laplacian, is_connected
 from .pcg import IterationBound, SplitSystem, iteration_bound, stretch_only_bound
 from .trees import SpanningTree, TreeError, tree_spans
 
@@ -38,23 +38,6 @@ class SpectralSummary:
     trace: float
     lambda_min: float
     lambda_max: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "trace": self.trace,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-        }
-
-    def write_json(self, path) -> None:
-        write_json(self.to_json_dict(), path)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("eigenvalue\n")
-            for v in self.eigenvalues:
-                fh.write(f"{float(v)!r}\n")
 
 
 def dense_tree_laplacian(t: SpanningTree) -> np.ndarray:

@@ -799,6 +799,21 @@ class TestSolve:
         assert main(["solve", "--graph", str(tmp_path / "no.txt"),
                      "--b", str(tmp_path / "no.txt"), "--out", "x"]) == 2
 
+    def test_right_hand_side_of_the_wrong_length_exits_2(self, tmp_path, capsys):
+        gp = self._write_path_graph(tmp_path)
+        bp = tmp_path / "b.txt"
+        bp.write_text("1.0\n-1.0\n")
+        out = tmp_path / "x.txt"
+        assert main(["solve", "--graph", str(gp), "--b", str(bp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: right-hand side has 2 entries but graph has 5 vertices\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "solve"])
+    def test_missing_out_exits_2(self, command, tmp_path, capsys):
+        source = ["--graph", "g.txt", "--b", "b.txt"] if command == "solve" else ["--gen", "grid:4x4:unit"]
+        assert main([command, *source]) == 2
+        assert capsys.readouterr().err == f"error: {command} requires --out\n"
+
     def test_nonfinite_right_hand_side_exits_2(self, tmp_path, capsys):
         # bad input, not a solver failure: no traceback, and no output files
         gp = self._write_path_graph(tmp_path)
@@ -820,7 +835,7 @@ class TestSolve:
         with pytest.raises(PcgDivergenceError):
             main(["solve", "--graph", str(gp), "--b", str(bp), "--out", str(tmp_path / "x.txt")])
 
-    @pytest.mark.parametrize("command", ["solve", "scaling"])
+    @pytest.mark.parametrize("command", ["gen", "stretch", "solve", "scaling"])
     @pytest.mark.parametrize("eps", ["2", "0", "-1", "nan"])
     def test_epsilon_out_of_range_exits_2(self, command, eps, tmp_path, capsys):
         gp = self._write_path_graph(tmp_path)
@@ -831,9 +846,9 @@ class TestSolve:
         out = tmp_path / "out"
         assert main([command, *source, "--eps", eps, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: epsilon must lie in (0, 1)")
-        assert not out.exists()
+        assert not list(tmp_path.glob("out*"))
 
-    @pytest.mark.parametrize("command", ["solve", "scaling"])
+    @pytest.mark.parametrize("command", ["gen", "stretch", "solve", "scaling"])
     def test_epsilon_checked_before_input_is_read(self, command, tmp_path, monkeypatch, capsys):
         def untouched(*args, **kwargs):
             raise AssertionError("input read before --eps was checked")
@@ -934,6 +949,16 @@ class TestGenAndStretch:
     def test_stretch_requires_one_source(self):
         assert main(["stretch"]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "stretch"])
+    def test_huge_vertex_id_exits_2(self, tmp_path, capsys, command):
+        gp = tmp_path / "g.txt"
+        gp.write_text("0 1 1.0\n1 1099511627776 2.0\n")
+        bp = tmp_path / "b.txt"
+        bp.write_text("1.0\n-1.0\n")
+        extra = ["--b", str(bp)] if command == "solve" else []
+        assert main([command, "--graph", str(gp), *extra, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: graph must be connected\n"
+
     @pytest.mark.parametrize("tree", ["maxw", "akpw"])
     def test_stretch_disconnected_graph_exits_2(self, tmp_path, capsys, tree):
         gp = tmp_path / "g.txt"
@@ -942,7 +967,7 @@ class TestGenAndStretch:
         assert capsys.readouterr().err == "error: graph must be connected\n"
 
     @pytest.mark.parametrize("command", ["gen", "stretch", "verify", "scaling"])
-    @pytest.mark.parametrize("seeds", ["-1", "0,-3"])
+    @pytest.mark.parametrize("seeds", ["-1", "0,-3", "a,b"])
     def test_negative_seed_rejected(self, command, seeds, tmp_path, capsys):
         # "verify" exits 1 only when a check fails; bad input is exit 2
         assert main([command, "--gen", "grid:4x4:unit", "--seeds", seeds,
@@ -998,21 +1023,22 @@ class TestConfigPrecedence:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen", "stretch", "solve", "verify", "scaling"])
-    @pytest.mark.parametrize("key", ["tree", "checks"])
+    @pytest.mark.parametrize("key", ["tree", "checks", "eps"])
     def test_config_value_outside_its_choices_exits_2_before_input_is_read(
             self, tmp_path, monkeypatch, capsys, key, command):
         def untouched(*args):
             raise AssertionError("input read")
 
         cfg = tmp_path / "conf.txt"
-        cfg.write_text(f"{key} = foo\n")
+        value = {"eps": "7"}.get(key, "foo")
+        cfg.write_text(f"{key} = {value}\n")
         monkeypatch.setattr(cli, "generate", untouched)
         monkeypatch.setattr(cli, "read_edge_list", untouched)
         monkeypatch.setattr(cli, "parse_generator_spec", untouched)
         inputs = ["--graph", "g.txt", "--b", "b.txt"] if command == "solve" else ["--gen", "grid:5x5:unit"]
         out = tmp_path / "out"
         assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}: bad value for {key}: 'foo'\n"
+        assert capsys.readouterr().err == f"error: {cfg}: bad value for {key}: {value!r}\n"
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("command, key, value, flag", [
@@ -1062,6 +1088,12 @@ class TestConfigKeys:
         assert main(["verify", "--gen", "grid:5x5:unit", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:4: unknown key {key!r}\n"
         assert not out.exists()
+
+    def test_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("tree = akpw\ntree akpw\n")
+        assert main(["gen", "--gen", "grid:3x3:unit", "--config", str(cfg), "--out", str(tmp_path / "g.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value', got 'tree akpw'\n"
 
     def test_every_option_key_is_read(self, tmp_path):
         cfg = tmp_path / "conf.txt"

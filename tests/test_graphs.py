@@ -416,6 +416,10 @@ class TestConnectivity:
     def test_isolated_vertices(self):
         assert not is_connected(WeightedGraph(2, []))
 
+    def test_too_few_edges_for_a_huge_vertex_count(self):
+        # decided without a per-vertex array, which would take 8 TiB here
+        assert not is_connected(WeightedGraph(2**40, [(0, 1, 1.0)]))
+
     def test_grid(self):
         assert is_connected(generate("grid:10x10:unit", seed=0))
 
@@ -476,7 +480,8 @@ class TestGenerate:
         with pytest.raises(GraphError, match="gnp"):
             parse_generator_spec("gnp:n=10:unit")
         for spec in ("gnp:n=100,p=0.1,w=3:logw", "regular:n=100,d=4,d=6", "gnp:n=100,p=0.1,n=200",
-                     "gnp:n=50,p=1.5", "gnp:n=50,p=0", "gnp:n=50,p=-0.5", "gnp:n=50,p=nan"):
+                     "gnp:n=50,p=1.5", "gnp:n=50,p=0", "gnp:n=50,p=-0.5", "gnp:n=50,p=nan",
+                     "grid", "gnp:n=10,p:unit", "gnp:n=ten,p=0.1"):
             with pytest.raises(GraphError, match="malformed generator spec"):
                 parse_generator_spec(spec)
 

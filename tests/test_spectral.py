@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +7,7 @@ from treepcg import (
     GraphError,
     IterationBound,
     SpanningTree,
+    TreeError,
     WeightedGraph,
     dense_laplacian,
     dense_tree_laplacian,
@@ -106,15 +106,17 @@ class TestGeneralizedSpectrum:
         with pytest.raises(GraphError, match="at least 2 vertices"):
             generalized_spectrum(WeightedGraph(1, []), SpanningTree([-1], [1.0]))
 
-    def test_json_and_csv(self, tmp_path):
-        g, t = triangle_setup()
-        s = generalized_spectrum(g, t)
-        s.write_json(tmp_path / "s.json")
-        s.write_csv(tmp_path / "s.csv")
-        d = json.loads((tmp_path / "s.json").read_text())
-        assert d["trace"] == pytest.approx(4.0)
-        lines = (tmp_path / "s.csv").read_text().strip().splitlines()
-        assert lines[0] == "eigenvalue" and len(lines) == 3
+    def test_disconnected_graph_rejected(self):
+        g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        t = SpanningTree.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(GraphError, match="^graph must be connected$"):
+            generalized_spectrum(g, t)
+
+    def test_tree_that_does_not_span_the_graph_rejected(self):
+        g, _ = triangle_setup()
+        t = SpanningTree.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        with pytest.raises(TreeError, match="does not span"):
+            generalized_spectrum(g, t)
 
 
 def pinv_route_spectrum(g, t):
