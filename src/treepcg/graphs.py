@@ -1,5 +1,5 @@
 """Weighted undirected graphs: Laplacian action, generators, text I/O, and
-the worker processes that verify's seeds and the stretch CSV run on.
+the worker processes that verify's seeds run on.
 
 A graph is stored as a canonical sorted edge list (u < v) in three arrays;
 :func:`components`, hook and compress on whole arrays, serves connectivity,
@@ -367,7 +367,8 @@ def generate(spec, seed: int) -> WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# text I/O: edge lists ("u v w" a line), vectors (one value a line), JSON
+# text I/O: edge lists ("u v w" a line), vectors (one value a line), JSON,
+# and CSV rows built on whole arrays
 
 
 def _loadtxt(fh, dtype, ndmin):
@@ -464,6 +465,128 @@ def write_json(obj, path) -> None:
     """``obj`` as JSON, keys sorted and indented by 2, with a final newline."""
     with open_output(path) as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10F = np.array([float(10 ** k) for k in range(23)])    # exact doubles
+
+
+def _two_product(a, b):
+    """(p, err) with p + err = a * b exactly: Dekker's product (1971), by
+    splits at 2**27 + 1, so without a fused multiply-add."""
+    p = a * b
+    c, d = 134217729.0 * a, 134217729.0 * b
+    a1, b1 = c - (c - a), d - (d - b)
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _repr_digits(x):
+    """repr's digits of each float64 of x, by whole arrays: (d, decpt, nd,
+    fast), d an int64 of 17 digits whose first nd are repr's and the rest
+    zeros, with repr's point after decpt of them; where ``fast`` is False,
+    only repr itself says.
+
+    For 1e-4 <= x < 1e15, not a power of two (whose rounding interval is
+    asymmetric), T = x * 10**(16 - e) lies in [1e16, 1e17) and equals hi + lo
+    exactly, hi an integer (10**k is exact for k <= 22).  Rounded to p = 17,
+    16, 15 digits, T is D_p * 10**j, j = 17 - p, at a distance g; D_p
+    round-trips iff g is below half an ulp of x in T's units, and repr's
+    digits are those of the least such p (Gay 1990).  A g within 1e-9 of that
+    half, or a tie between two D_p that round-trip, is left to repr."""
+    m, E = np.frexp(x)
+    fast = (x >= 1e-4) & (x < 1e15) & (m != 0.5)    # NaN fails each test
+    y = np.where(fast, x, 1.5)
+    e = np.floor(np.log10(y)).astype(np.int64)
+    hi, lo = _two_product(y, _POW10F[16 - e])
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    step = above.view(np.int8) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0.0)))
+    if step.any():      # log10 missed by one next to a power of ten
+        e += step
+        hi, lo = _two_product(y, _POW10F[16 - e])
+    H, half = hi.astype(np.int64), np.ldexp(_POW10F[16 - e], E - 54)
+    for j in (0, 1, 2):
+        s = 10 ** j
+        q = H // s
+        f = (H - q * s) + lo
+        k = np.floor(f / s + 0.5)
+        g = np.abs(f - k * s)
+        fast &= (np.abs(g - half) > 1e-9) & ((np.abs(g - 0.5 * s) > 1e-9) | (g > half))
+        dp = (q + k.astype(np.int64)) * s
+        trip = g < half     # then for every larger p too
+        d, nd = (dp, 17) if j == 0 else (np.where(trip, dp, d), nd - trip)
+    carry = d == _POW10[17]     # rounded up to 10**p: one digit more before the point
+    d[carry] = _POW10[16]
+    # D_16 or D_17 has no trailing zero, or D_15 would round-trip; strip D_15's
+    rows = np.flatnonzero(fast & (nd == 15))
+    v = d[rows] // 100
+    while len(rows):
+        q = v // 10
+        zero = q * 10 == v
+        rows, v = rows[zero], q[zero]
+        nd[rows] -= 1
+    return d, e + 1 + carry, nd, fast
+
+
+def _field(x):
+    """A column's texts, repr's of floats and str's of integers, for
+    ``_text_rows``: (length, d, count, lead, cut, point, rows, chars).  Row
+    i's text has the last ``count`` digits of d[i], digit j from the left at
+    lead[i] + j, or one further on from j = cut[i], and a point at point[i];
+    or, in ``rows``, the bytes ``chars`` of repr or str, called once for
+    each distinct value."""
+    if x.dtype.kind == "f":
+        d, decpt, nd, fast = _repr_digits(x.astype(np.float64, copy=False))
+        point = np.maximum(decpt, 1)
+        length = point + 1 + np.maximum(nd - decpt, 1)
+        count, lead, cut, text = 17, np.maximum(1 - decpt, 0), decpt, repr     # lead: "0." and zeros
+    else:
+        fast = (x >= 0) & (x < _POW10[16])
+        d = np.where(fast, x, 0).astype(np.int64)
+        length = np.searchsorted(_POW10[1:], d, side="right") + 1
+        count = int(length.max())
+        lead, cut, point, text = length - count, count, -1, str
+    rows = np.flatnonzero(~fast)
+    vals = x[rows]
+    _, once, inv = np.unique(vals.view(f"i{vals.itemsize}"), return_index=True, return_inverse=True)
+    texts = np.array([text(v) for v in vals[once].tolist()], dtype="S")
+    length[rows] = np.array([len(t) for t in texts.tolist()], dtype=np.int64)[inv]
+    return length, d, count, lead, cut, point, rows, texts.view(np.uint8).reshape(-1, texts.itemsize)[inv]
+
+
+def _text_rows(columns) -> bytes:
+    """Comma-separated rows, each ended by CRLF, of one value from each
+    column: ``repr`` of a float, ``str`` of an integer, with no Python
+    object made for a value the arrays decide (``_field``).
+
+    The fields' lengths give the rows' offsets by one cumsum, and one buffer
+    of ASCII zeros takes the rest by scatters: the points, then the digits
+    least significant first, one scatter each.  A digit outside its text,
+    a float's trailing zero or an integer's leading one, is clipped to the
+    text's last byte, before the digit there, or to the separator before it,
+    which is written last."""
+    fields = [_field(np.asarray(c)) for c in columns]
+    size = sum(f[0] for f in fields) + len(fields) + 1
+    ends = np.cumsum(size) + 1
+    buf = np.full(ends[-1], 48, dtype=np.uint8)     # and a spare byte in front
+    off, commas = ends - size, []
+    for length, d, count, lead, cut, point, rows, chars in fields:
+        base, last = off + lead, off + length - 1
+        buf[off + point] = 46
+        hi = d // 10**8     # digit by digit from int32 halves, whose divisions are cheaper
+        v = (d - hi * 10**8).astype(np.int32)
+        for j in range(count - 1, -1, -1):
+            q = v // 10
+            buf[np.clip(base + (j + (cut <= j)), off - 1, last)] = (v - q * 10).astype(np.uint8) + 48
+            v = hi.astype(np.int32) if j == count - 8 else q
+        for c in range(chars.shape[1] - 1, -1, -1):     # past a text's end, clipped to it
+            buf[np.minimum(off[rows] + c, last[rows])] = chars[:, c]
+        commas.append(last + 1)
+        off = last + 2
+    for comma in commas:
+        buf[comma] = 44
+    buf[ends - 2], buf[ends - 1] = 13, 10
+    return buf[1:].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def pcg_solve(
         raise PcgError("tree size does not match graph")
 
     mean = b.mean()
-    centered = bool(abs(mean) > 1e-14 * max(1.0, float(np.abs(b).max())))
+    centered = bool(abs(mean) > 1e-14 * float(np.abs(b).max()))     # relative: any scale
     bbar = b - mean
 
     rtol = cfg.effective_residual_tolerance()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, _id_text, _jump, across_cpus, components, is_connected, pair_order, write_json
+from .graphs import WeightedGraph, _id_text, _jump, _text_rows, components, is_connected, pair_order, write_json
 
 
 class TreeError(ValueError):
@@ -241,7 +241,7 @@ def tree_spans(g: WeightedGraph, t: SpanningTree) -> bool:
 # ---------------------------------------------------------------------------
 # stretch
 
-_CSV_BLOCK = 4096     # rows formatted at a time by StretchReport.write_csv
+_CSV_BLOCK = 8192     # rows formatted at a time by StretchReport.write_csv
 
 
 @dataclass
@@ -279,23 +279,16 @@ class StretchReport:
 
     def write_csv(self, path) -> None:
         """The rows ``csv.writer`` would write: u, v, repr(w), repr(stretch).
-        Formatted _CSV_BLOCK rows at a time across the CPUs this process may
-        use (``across_cpus``) and written in block order; in one process, the
-        Python numbers and strings of only one block are alive at once."""
+        Built _CSV_BLOCK rows at a time as bytes on whole arrays
+        (``graphs._text_rows``), so that only one block's text is alive at once."""
         cols = (self.edge_u, self.edge_v, self.edge_w, self.values)
-        blocks = [tuple(c[i:i + _CSV_BLOCK] for c in cols) for i in range(0, len(self.values), _CSV_BLOCK)]
-        with open(path, "w", newline="") as fh:
-            fh.write("u,v,w,stretch\r\n")
-            fh.writelines(across_cpus(_csv_rows, (), blocks))
+        with open(path, "wb") as fh:
+            fh.write(b"u,v,w,stretch\r\n")
+            for i in range(0, len(self.values), _CSV_BLOCK):
+                fh.write(_text_rows([c[i:i + _CSV_BLOCK] for c in cols]))
 
     def write_json_summary(self, path) -> None:
         write_json(self.summary(), path)
-
-
-def _csv_rows(block) -> str:
-    """The CSV rows of (u, v, w, stretch) column slices; at module level, so
-    that a worker can unpickle it."""
-    return "".join([f"{u},{v},{w!r},{s!r}\r\n" for u, v, w, s in zip(*(c.tolist() for c in block))])
 
 
 def stretch_report(g: WeightedGraph, t: SpanningTree) -> StretchReport:

@@ -531,21 +531,17 @@ def load(path):
         return StretchReport(*(f[f"arr_{i}"] for i in range(4)), 0.0)
 """
 
-# one report written twice, the second time with any workers the first
-# started; then whether multiprocessing was loaded, and how many workers live
+# one report written twice; then whether multiprocessing was loaded
 _WRITE_ONE = _LOAD_REPORT + r"""
 import json, sys
 rep = load(sys.argv[1])
 rep.write_csv(sys.argv[2])
 rep.write_csv(sys.argv[2])
-loaded = "multiprocessing" in sys.modules
-if loaded:
-    import multiprocessing
-print(json.dumps([loaded, loaded and len(multiprocessing.active_children())]))
+print(json.dumps("multiprocessing" in sys.modules))
 """
 
 # four threads write their own reports, five times each, after one write
-# of the report with the most blocks has started every worker they need
+# of the report with the most blocks
 _WRITE_THREADS = _LOAD_REPORT + r"""
 import sys, threading
 d = sys.argv[1]
@@ -564,51 +560,19 @@ finally:
     sys.setswitchinterval(0.005)
 """
 
-# one write starts the worker; then the tracemalloc peak of a second write,
-# and how many workers live
-_WRITE_TRACED = _LOAD_REPORT + r"""
-import json, multiprocessing, sys, tracemalloc
-rep = load(sys.argv[1])
-rep.write_csv(sys.argv[2])
-tracemalloc.start()
-rep.write_csv(sys.argv[2])
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(json.dumps([peak, len(multiprocessing.active_children())]))
-"""
-
-# a stretch run starts the worker; the next run SIGKILLs it as it begins
-_CSV_WORKER_DEATH = r"""
-import json, multiprocessing, os, signal, sys
-from treepcg import trees
-from treepcg.cli import main
-args = ["stretch", "--gen", "regular:n=6000,d=4:logw", "--tree", "akpw", "--out"]
-first = main(args + [sys.argv[1] + "/a"])
-pids = [p.pid for p in multiprocessing.active_children()]
-across_cpus = trees.across_cpus
-def kill_the_worker(*args):
-    os.kill(pids[0], signal.SIGKILL)
-    return across_cpus(*args)
-trees.across_cpus = kill_the_worker
-print(json.dumps([first, main(args + [sys.argv[1] + "/b"]), pids]), flush=True)
-"""
-
-
 class TestStretchCsvAcrossProcesses:
-    """The stretch CSV's blocks are formatted in verify's worker processes
-    too; none of it may show in its bytes, an error or a process left
-    behind.  Each case runs in its own interpreter with BLAS on one thread."""
+    """The stretch CSV is built in the calling process, whatever the CPUs
+    and threads; none of that may show in its bytes or start a worker.  Each
+    case runs in its own interpreter with BLAS on one thread, where verify
+    starts workers when two CPUs are usable."""
 
-    @two_cpus
-    @pytest.mark.parametrize("rows", [0, 1, 4096, 4097, 3 * 4096 + 5])
+    # the edges of the blocks of 8192 rows, and of the former blocks of 4096
+    @pytest.mark.parametrize("rows", [0, 1, 4096, 4097, 3 * 4096 + 5, 8191, 8192, 8193, 3 * 8192 + 5])
     def test_bytes_equal_the_serial_reference(self, tmp_path, rows):
         ref, = _save_reports(tmp_path, [rows])
         out = _python(_WRITE_ONE, str(tmp_path / "r0.npz"), str(tmp_path / "s.csv"))
         assert out.returncode == 0, out.stderr
         assert (tmp_path / "s.csv").read_bytes() == ref
-        # one block, or none, is formatted here without multiprocessing
-        loaded, workers = json.loads(out.stdout)
-        assert loaded == (rows > 4096) and (workers >= 1) == loaded
 
     @two_cpus
     def test_threads_get_their_own_csvs(self, tmp_path):
@@ -621,42 +585,14 @@ class TestStretchCsvAcrossProcesses:
                 assert (tmp_path / f"t{i}.{j}.csv").read_bytes() == ref, (i, j)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
-    def test_one_cpu_loads_no_multiprocessing(self, tmp_path):
-        ref, = _save_reports(tmp_path, [3 * 4096 + 5])
-        code = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" + _WRITE_ONE
-        out = _python(code, str(tmp_path / "r0.npz"), str(tmp_path / "s.csv"))
-        assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout) == [False, False]
-        assert (tmp_path / "s.csv").read_bytes() == ref
-
-    @two_cpus
-    def test_memory_with_a_worker(self, tmp_path):
-        # the columns of test_trees.py's one-process memory test; with a
-        # worker the traced peak read 4.9-5.5 MB, as its share comes back as
-        # one message, against 15 MB for all rows formatted at once
-        m = 60_000
-        rng = np.random.default_rng(0)
-        u = np.sort(rng.integers(0, 30_000, m))
-        np.savez(tmp_path / "r0.npz", u, u + 1, 10.0 ** rng.uniform(-1.0, 1.0, m),
-                 rng.uniform(1.0, 300.0, m))
-        out = _python(_WRITE_TRACED, str(tmp_path / "r0.npz"), str(tmp_path / "s.csv"))
-        assert out.returncode == 0, out.stderr
-        peak, workers = json.loads(out.stdout)
-        assert workers >= 1
-        assert peak < 8_000_000, peak
-        assert len((tmp_path / "s.csv").read_bytes().split(b"\r\n")) == m + 2
-
-    @two_cpus
-    def test_a_killed_worker_exits_2(self, tmp_path):
-        out = _python(_CSV_WORKER_DEATH, str(tmp_path))
-        assert out.returncode == 0, out.stderr
-        first, second, pids = json.loads(out.stdout)
-        assert (first, second) == (0, 2) and pids
-        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
-        deadline = time.monotonic() + 5.0
-        while any(map(_running, pids)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(_running, pids))
+    def test_a_write_loads_no_multiprocessing(self, tmp_path):
+        ref, = _save_reports(tmp_path, [3 * 8192 + 5])
+        for cpus in (1, 2):
+            code = f"import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}])\n" + _WRITE_ONE
+            out = _python(code, str(tmp_path / "r0.npz"), str(tmp_path / "s.csv"))
+            assert out.returncode == 0, out.stderr
+            assert json.loads(out.stdout) is False, cpus
+            assert (tmp_path / "s.csv").read_bytes() == ref
 
 
 class TestScaling:
@@ -934,6 +870,12 @@ class TestGenAndStretch:
         ("regular:n=2000,d=4:unit", "akpw", {
             "csv": "74047fb9fae8fabd537bfb9a5b6a98771141a132a7e09d38cfb0feea01cc8a91",
             "json": "e8a434aca925771831eab4e8c373ef396580932230a3f25399b6f7c684a3a3a9",
+        }),
+        # the stretch benchmark's input, 60,000 rows; recorded when the CSV
+        # was still formatted by repr one value at a time
+        ("regular:n=30000,d=4:logw", "akpw", {
+            "csv": "c9a65e012d83da1cd7fb61ba3caab9789e66bdacb8fefb1b1f9ca772d5eafa24",
+            "json": "45189c1e844c6fe708d84e3516f5ca45e598fe2d571443d106110b5e7d4432ca",
         }),
     ])
     def test_stretch_report_bytes_pinned(self, tmp_path, spec, tree, digests):

@@ -732,3 +732,82 @@ class TestVectorIO:
         p = tmp_path / "x.txt"
         write_vector(x, p)
         assert outcome(read_vector, p) == (np.dtype(np.float64), x.shape, x.tobytes())
+
+
+def repr_lines(x) -> bytes:
+    """repr of each value, one a CRLF-ended line."""
+    return "".join(f"{v!r}\r\n" for v in np.asarray(x, dtype=np.float64).tolist()).encode()
+
+
+def array_lines(x, block=8192) -> bytes:
+    """The same lines by ``_text_rows``, a block at a time."""
+    return b"".join(graphs._text_rows([x[i:i + block]]) for i in range(0, len(x), block))
+
+
+def sweep(rng, size):
+    """Seeded doubles of the classes where repr's digits are hardest to get
+    right, about ``size`` of each."""
+    k = np.repeat(np.arange(-4, 15), size // 19)
+    digits = rng.integers(1, 18, size)
+    return {
+        "bit patterns": rng.integers(-2**63, 2**63, size, dtype=np.int64).view(np.float64),
+        "log-uniform": 10.0 ** rng.uniform(-5.0, 16.0, size),
+        "next to one": 1.0 + rng.integers(-size, size, size) * 2.0**-52,
+        "next to powers of ten": 10.0 ** k * (1.0 + rng.integers(-50, 51, len(k)) * 2.0**-52),
+        "decimals": np.array([float(f"{a:.{p}g}") for a, p in
+                              zip((10.0 ** rng.uniform(-4.0, 15.0, size)).tolist(), digits.tolist())]),
+        "integers": rng.integers(1, 10**15, size).astype(np.float64),
+    }
+
+
+# values repr alone formats: its exponent form, zero, the non-finite, and
+# powers of two, whose rounding interval is asymmetric
+FALLBACK = [0.0, -0.0, -1.0, -0.1, -3e300, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e-5,
+            9.9e-5, 1e15, 1e16, 1e300, 0.5, 1.0, 2.0, 1024.0, 2.0**-13, 2.0**49]
+
+
+class TestReprText:
+    def test_floats_equal_repr_on_a_sweep(self):
+        rng = np.random.default_rng(20240601)
+        for name, x in sweep(rng, 170_000).items():
+            assert array_lines(x) == repr_lines(x), name
+
+    def test_fallback_equals_repr(self):
+        x = np.array(FALLBACK)
+        assert graphs._text_rows([x]) == repr_lines(x)
+        assert not graphs._repr_digits(x)[3].any()
+
+    def test_whole_arrays_take_most_values(self):
+        # an implementation that always left the digits to repr would pass
+        # every byte comparison; the benchmark's weights must not need it
+        x = 10.0 ** np.random.default_rng(0).uniform(-1.0, 1.0, 60_000)
+        assert graphs._repr_digits(x)[3].mean() >= 0.95
+        assert array_lines(x) == repr_lines(x)
+
+    def test_fixed_notation_edges(self):
+        # repr's point before, inside and after the digits, and a carry that
+        # rounds to a power of ten
+        x = np.array([1e-4, 0.000123, 0.1, 0.5000000000000001, 1.5, 3.0, 12.5, 1230.0, 123456789.0,
+                      0.30000000000000004, 999999999999999.9, 99999999999999.98, 0.0009999999999999998,
+                      np.nextafter(1e15, 0.0), np.nextafter(1e-4, 1.0), np.nextafter(0.001, 0.0)])
+        assert graphs._text_rows([x]) == repr_lines(x)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+    def test_integers_equal_str(self, dtype):
+        ids = np.array([0, 1, 9, 10, 99, 100, 12345, 2**31 - 1], dtype=dtype)
+        if dtype != np.int32:
+            ids = np.concatenate((ids, np.array([10**15, 10**16 - 1, 10**16, 2**62], dtype=dtype)))
+        if dtype != np.uint64:
+            ids = np.concatenate((ids, np.array([-1, -10**9, np.iinfo(dtype).min], dtype=dtype)))
+        want = "".join(f"{i},{i}\r\n" for i in ids.tolist()).encode()
+        assert graphs._text_rows([ids, ids]) == want
+
+    def test_rows_mix_both_paths(self):
+        rng = np.random.default_rng(7)
+        m = 5000
+        u = np.sort(rng.integers(0, 10**6, m))
+        w = rng.choice(np.array(FALLBACK + [0.1, 7.25, 333.0]), m)
+        s = 10.0 ** rng.uniform(-6.0, 18.0, m)
+        want = "".join(f"{a},{b},{c!r},{d!r}\r\n" for a, b, c, d in
+                       zip(u.tolist(), (u + 1).tolist(), w.tolist(), s.tolist())).encode()
+        assert graphs._text_rows([u, u + 1, w, s]) == want

@@ -149,6 +149,15 @@ class TestPcgSolve:
         out = pcg_solve(g, factor(t), np.array([1.0, 0.0, -1.0]), PcgConfig(epsilon=1e-8))
         assert not out.centered_input
 
+    @pytest.mark.parametrize("c", [1.0, 1e-20, 1e-160])
+    def test_noncentered_b_flagged_at_any_scale(self, c):
+        # the mean is 1.1 * c: the flag compares it with max|b|, not with 1
+        g = generate("grid:6x6:unit", seed=0)
+        b = np.ones(g.n) * c
+        b[0] = 5.0 * c
+        out = pcg_solve(g, factor(max_weight_spanning_tree(g)), b, PcgConfig(epsilon=1e-8))
+        assert out.centered_input
+
     @pytest.mark.parametrize("reorthogonalize", [False, True])
     def test_zero_right_hand_side_after_centring(self, reorthogonalize):
         g = generate("grid:6x6:unit", seed=0)

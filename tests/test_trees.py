@@ -25,7 +25,7 @@ from treepcg import (
     stretch_report,
     tree_spans,
 )
-from treepcg import trees
+from treepcg import graphs, trees
 from treepcg.graphs import _grid_edges
 from treepcg.trees import StretchReport
 
@@ -531,8 +531,8 @@ class TestStretchReport:
         assert (tmp_path / "s.csv").read_bytes() == ref.getvalue().encode()
 
     def test_csv_writer_memory_is_one_block(self, tmp_path):
-        # all rows at once peaked at 15 MB for 60,000 edges; one block of
-        # 4096 rows peaks near 1 MB
+        # all rows at once as Python strings peaked at 15 MB for 60,000
+        # edges; one block of 8192 rows as byte arrays peaks near 2.6 MB
         m = 60_000
         rng = np.random.default_rng(0)
         u = np.sort(rng.integers(0, 30_000, m))
@@ -545,6 +545,15 @@ class TestStretchReport:
             tracemalloc.stop()
         assert peak < 3_000_000, peak
         assert len((tmp_path / "s.csv").read_bytes().split(b"\r\n")) == m + 2
+
+    def test_csv_digits_come_from_whole_arrays(self, tmp_path):
+        # a writer that left every value to repr would pass the byte tests
+        g = generate("regular:n=6000,d=4:logw", seed=0)
+        rep = stretch_report(g, low_stretch_heuristic_tree(g, seed=0))
+        for x in (rep.edge_w, rep.values):
+            assert graphs._repr_digits(x)[3].mean() >= 0.95
+        rep.write_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == format_csv(rep)
 
     def test_single_vertex(self, tmp_path):
         g = WeightedGraph(1, [])
