@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -19,7 +20,6 @@ from .graphs import (
     DEFAULT_DENSE_CAP,
     GraphError,
     _data_lines,
-    across_cpus,
     dense_laplacian,
     generate,
     is_connected,
@@ -29,6 +29,7 @@ from .graphs import (
     read_vector,
     write_edge_list,
     write_json,
+    write_rows,
     write_vector,
 )
 from .pcg import PcgConfig, PcgError, factor, pcg_solve, snapped_root, stretch_only_bound
@@ -133,7 +134,7 @@ def run_verify(spec: ExperimentSpec) -> dict:
     (``across_cpus``); the report is the same as from one process.
     """
     gen = parse_generator_spec(spec.generator)
-    records = list(across_cpus(_verify_seed, (spec, gen), spec.seeds))
+    records = across_cpus(_verify_seed, (spec, gen), spec.seeds)
     return {
         "spec": {**asdict(spec), "generator": str(gen)},
         "records": records,
@@ -197,6 +198,100 @@ def _first_accurate_iteration(outcome, epsilon):
     return None
 
 
+# The worker processes of across_cpus: one pool, made by the first call that
+# can use it and kept, so that later calls find warm interpreters; a call
+# that needs more workers replaces it.  Forked, not spawned: a spawned worker
+# would first re-run the caller's main script, which need not guard its top
+# level; a forked one starts with every module imported, as it was at the
+# fork.  A fork copies only the calling thread, so a caller that runs threads
+# makes its first call that starts workers before it starts them.
+_POOL = None  # (executor, its number of workers)
+
+
+def across_cpus(fn, args, items) -> list:
+    """``[fn(*args, item) for item in items]``, computed across the CPUs
+    this process may use.
+
+    The items are cut into contiguous shares, one per process.  The pool's
+    workers take every share but the first, which this process computes
+    meanwhile.  The error raised is the one of the earliest item that
+    fails, as in the plain loop; a worker's error has the worker's traceback
+    as its cause.  Any error, an interrupt too, ends the pool's workers at
+    once, so none goes on with a share whose result is lost; if a worker
+    dies, the call raises ``BrokenProcessPool``.  Either way the next call
+    makes a new pool.
+
+    There is one process per usable CPU that BLAS leaves free, and at most
+    one per item.  Unless the environment caps BLAS's threads, BLAS takes
+    every CPU itself and no worker starts: each process's BLAS threads would
+    contend with the others' (verify on the desk specs ran 2x slower in two
+    processes than in one).
+    """
+    global _POOL
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = max(1, min(len(items), cpus // _blas_threads(cpus)))
+    if k == 1:
+        return [fn(*args, item) for item in items]
+    cuts = [len(items) * i // k for i in range(k + 1)]
+    shares = [list(items[a:b]) for a, b in zip(cuts, cuts[1:])]
+    if _POOL is None or _POOL[1] < k - 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if _POOL is not None:
+            _POOL[0].shutdown(wait=False)  # idle, or finishing another thread's shares
+        _POOL = ProcessPoolExecutor(k - 1, multiprocessing.get_context("fork"),
+                                    initializer=_start_worker, initargs=(os.getpid(),)), k - 1
+    pool = _POOL[0]
+    try:
+        futures = [pool.submit(_over_share, fn, args, share) for share in shares[1:]]
+        results = _over_share(fn, args, shares[0])
+        for future in futures:
+            results += future.result()
+        return results
+    except BaseException:
+        if _POOL is not None and _POOL[0] is pool:
+            _POOL = None
+        workers = list((pool._processes or {}).values())  # no public call ends busy workers
+        pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.terminate()
+        raise
+
+
+def _over_share(fn, args, share) -> list:
+    """One share's results; at module level, so that a worker can unpickle it."""
+    return [fn(*args, item) for item in share]
+
+
+def _start_worker(caller: int) -> None:
+    """A pool worker's setup.  An interrupt is the caller's to handle.  The
+    worker exits once the caller has gone, even killed outright: it waits on
+    a queue whose write end the fork also gave it, so it would see no EOF."""
+    import signal
+    import threading
+    import time
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch():
+        while os.getppid() == caller:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _blas_threads(cpus: int) -> int:
+    """The threads BLAS runs in each process: as the first of its usual
+    variables that is set says, else one per usable CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
 # ---------------------------------------------------------------------------
 # scaling
 
@@ -227,13 +322,10 @@ def run_scaling(generators, tree_method: str, epsilon: float, seeds) -> list:
 
 
 def write_scaling_csv(rows, path) -> None:
+    keys = ("m", "seed", "stretch_total", "stretch_cbrt", "iterations", "k_bound")
     with open_output(path) as fh:
-        fh.write("m,seed,stretch_total,stretch_cbrt,iterations,k_bound\n")
-        for r in rows:
-            fh.write(
-                f"{r['m']},{r['seed']},{r['stretch_total']!r},"
-                f"{r['stretch_cbrt']!r},{r['iterations']},{r['k_bound']}\n"
-            )
+        fh.write(",".join(keys) + "\n")
+        write_rows(fh, [np.array([r[k] for r in rows]) for k in keys], end=b"\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Weighted undirected graphs: Laplacian action, generators, text I/O, and
-the worker processes that verify's seeds run on.
+"""Weighted undirected graphs: Laplacian action, generators and text I/O.
 
 A graph is stored as a canonical sorted edge list (u < v) in three arrays;
 :func:`components`, hook and compress on whole arrays, serves connectivity,
@@ -12,8 +11,8 @@ back brute-force verification.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
-import os
 import random
 import re
 import sys
@@ -367,8 +366,8 @@ def generate(spec, seed: int) -> WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# text I/O: edge lists ("u v w" a line), vectors (one value a line), JSON,
-# and CSV rows built on whole arrays
+# text I/O: edge lists ("u v w" a line), vectors (one value a line) and
+# CSVs, all rows built on whole arrays by write_rows; and JSON
 
 
 def _loadtxt(fh, dtype, ndmin):
@@ -429,9 +428,8 @@ def _parse_edge_lines(path, text) -> np.ndarray:
 
 
 def write_edge_list(g: WeightedGraph, path) -> None:
-    with open(path, "w") as fh:
-        for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
-            fh.write(f"{u} {v} {w!r}\n")
+    with open(path, "wb") as fh:
+        write_rows(fh, (g.edge_u, g.edge_v, g.edge_w), b" ", b"\n")
 
 
 def read_vector(path) -> np.ndarray:
@@ -451,9 +449,8 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_vector(x, path) -> None:
-    with open(path, "w") as fh:
-        for v in np.asarray(x, dtype=np.float64).tolist():
-            fh.write(f"{v!r}\n")
+    with open(path, "wb") as fh:
+        write_rows(fh, (np.asarray(x, dtype=np.float64),), end=b"\n")
 
 
 def open_output(path):
@@ -465,6 +462,18 @@ def write_json(obj, path) -> None:
     """``obj`` as JSON, keys sorted and indented by 2, with a final newline."""
     with open_output(path) as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+_BLOCK = 8192   # rows built at a time by write_rows
+
+
+def write_rows(fh, columns, sep=b",", end=b"\r\n") -> None:
+    """The rows of ``_text_rows`` written to ``fh``, a block of _BLOCK rows
+    at a time, so that one block's text is alive at once: as bytes, or as
+    str to a text stream such as standard output."""
+    write = (lambda rows: fh.write(str(rows, "ascii"))) if isinstance(fh, io.TextIOBase) else fh.write
+    for i in range(0, len(columns[0]), _BLOCK):
+        write(_text_rows([c[i:i + _BLOCK] for c in columns], sep, end))
 
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
@@ -494,8 +503,7 @@ def _repr_digits(x):
     round-trips iff g is below half an ulp of x in T's units, and repr's
     digits are those of the least such p (Gay 1990).  A g within 1e-9 of that
     half, or a tie between two D_p that round-trip, is left to repr."""
-    m, E = np.frexp(x)
-    fast = (x >= 1e-4) & (x < 1e15) & (m != 0.5)    # NaN fails each test
+    fast = (x >= 1e-4) & (x < 1e15) & (np.frexp(x)[0] != 0.5)    # NaN fails each test
     y = np.where(fast, x, 1.5)
     e = np.floor(np.log10(y)).astype(np.int64)
     hi, lo = _two_product(y, _POW10F[16 - e])
@@ -504,7 +512,8 @@ def _repr_digits(x):
     if step.any():      # log10 missed by one next to a power of ten
         e += step
         hi, lo = _two_product(y, _POW10F[16 - e])
-    H, half = hi.astype(np.int64), np.ldexp(_POW10F[16 - e], E - 54)
+    H, half = hi.astype(np.int64), np.ldexp(_POW10F[16 - e], np.frexp(x)[1] - 54)
+    del y, hi   # the block's peak is in the loop below
     for j in (0, 1, 2):
         s = 10 ** j
         q = H // s
@@ -525,7 +534,7 @@ def _repr_digits(x):
         zero = q * 10 == v
         rows, v = rows[zero], q[zero]
         nd[rows] -= 1
-    return d, e + 1 + carry, nd, fast
+    return d, (e + 1 + carry).astype(np.int8), nd, fast    # decpt: -3..16, a byte a row
 
 
 def _field(x):
@@ -548,141 +557,44 @@ def _field(x):
         lead, cut, point, text = length - count, count, -1, str
     rows = np.flatnonzero(~fast)
     vals = x[rows]
-    _, once, inv = np.unique(vals.view(f"i{vals.itemsize}"), return_index=True, return_inverse=True)
+    # floats by their bits, -0.0 apart from 0.0; integers by value, also Python ones past int64
+    key = vals.view(f"i{vals.itemsize}") if text is repr else vals
+    _, once, inv = np.unique(key, return_index=True, return_inverse=True)
     texts = np.array([text(v) for v in vals[once].tolist()], dtype="S")
     length[rows] = np.array([len(t) for t in texts.tolist()], dtype=np.int64)[inv]
     return length, d, count, lead, cut, point, rows, texts.view(np.uint8).reshape(-1, texts.itemsize)[inv]
 
 
-def _text_rows(columns) -> bytes:
-    """Comma-separated rows, each ended by CRLF, of one value from each
-    column: ``repr`` of a float, ``str`` of an integer, with no Python
-    object made for a value the arrays decide (``_field``).
+def _text_rows(columns, sep=b",", end=b"\r\n") -> memoryview:
+    """Rows of one value from each column, apart by the byte ``sep``, each
+    row ended by ``end`` (by default as ``csv.writer`` writes them): ``repr``
+    of a float, ``str`` of an integer, with no Python object made for a value
+    the arrays decide (``_field``).  The bytes are a view of one buffer.
 
     The fields' lengths give the rows' offsets by one cumsum, and one buffer
-    of ASCII zeros takes the rest by scatters: the points, then the digits
-    least significant first, one scatter each.  A digit outside its text,
-    a float's trailing zero or an integer's leading one, is clipped to the
-    text's last byte, before the digit there, or to the separator before it,
-    which is written last."""
+    of ASCII zeros takes the rest by scatters, field by field: its point,
+    then its digits least significant first, one scatter each.  A digit
+    outside its text, a float's trailing zero or an integer's leading one,
+    is clipped to the text's last byte, before the digit there, or to the
+    byte before the text, the separator or line end written after it."""
     fields = [_field(np.asarray(c)) for c in columns]
-    size = sum(f[0] for f in fields) + len(fields) + 1
-    ends = np.cumsum(size) + 1
+    ends = np.cumsum(sum(f[0] for f in fields) + len(fields) - 1 + len(end)) + 1
     buf = np.full(ends[-1], 48, dtype=np.uint8)     # and a spare byte in front
-    off, commas = ends - size, []
-    for length, d, count, lead, cut, point, rows, chars in fields:
-        base, last = off + lead, off + length - 1
+    off = np.concatenate(([1], ends[:-1]))      # each row starts where the last ended
+    while fields:   # popped, so that a written field's arrays go
+        length, d, count, lead, cut, point, rows, chars = fields.pop(0)
+        base, floor, last = off + lead, off - 1, off + length - 1
         buf[off + point] = 46
         hi = d // 10**8     # digit by digit from int32 halves, whose divisions are cheaper
         v = (d - hi * 10**8).astype(np.int32)
         for j in range(count - 1, -1, -1):
             q = v // 10
-            buf[np.clip(base + (j + (cut <= j)), off - 1, last)] = (v - q * 10).astype(np.uint8) + 48
+            buf[np.clip(base + (j + (cut <= j)), floor, last)] = (v - q * 10).astype(np.uint8) + 48
             v = hi.astype(np.int32) if j == count - 8 else q
         for c in range(chars.shape[1] - 1, -1, -1):     # past a text's end, clipped to it
             buf[np.minimum(off[rows] + c, last[rows])] = chars[:, c]
-        commas.append(last + 1)
+        buf[floor] = sep[0]     # before the first field: a row end, written later
         off = last + 2
-    for comma in commas:
-        buf[comma] = 44
-    buf[ends - 2], buf[ends - 1] = 13, 10
-    return buf[1:].tobytes()
-
-
-# ---------------------------------------------------------------------------
-# worker processes
-
-# The worker processes of across_cpus: one pool, made by the first call that
-# can use it and kept, so that later calls find warm interpreters; a call
-# that needs more workers replaces it.  Forked, not spawned: a spawned worker
-# would first re-run the caller's main script, which need not guard its top
-# level; a forked one starts with every module imported, as it was at the
-# fork.  A fork copies only the calling thread, so a caller that runs threads
-# makes its first call that starts workers before it starts them.
-_POOL = None  # (executor, its number of workers)
-
-
-def across_cpus(fn, args, items):
-    """Yield ``fn(*args, item)`` for each item in order, computed across the
-    CPUs this process may use.
-
-    The items are cut into contiguous shares, one per process.  The pool's
-    workers take every share but the first, which this process computes
-    meanwhile, one item as each result is taken.  The error raised is the
-    one of the earliest item that fails, as in the plain loop; a worker's
-    error has the worker's traceback as its cause.  Any error, an interrupt
-    too, and a consumer that stops early, ends the pool's workers at once,
-    so none goes on with a share whose result is lost; if a worker dies, the
-    call raises ``BrokenProcessPool``.  Either way the next call makes a new
-    pool.
-
-    There is one process per usable CPU that BLAS leaves free, and at most
-    one per item.  Unless the environment caps BLAS's threads, BLAS takes
-    every CPU itself and no worker starts: each process's BLAS threads would
-    contend with the others' (verify on the desk specs ran 2x slower in two
-    processes than in one).
-    """
-    global _POOL
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = max(1, min(len(items), cpus // _blas_threads(cpus)))
-    if k == 1:
-        yield from (fn(*args, item) for item in items)
-        return
-    cuts = [len(items) * i // k for i in range(k + 1)]
-    shares = [list(items[a:b]) for a, b in zip(cuts, cuts[1:])]
-    if _POOL is None or _POOL[1] < k - 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if _POOL is not None:
-            _POOL[0].shutdown(wait=False)  # idle, or finishing another thread's shares
-        _POOL = ProcessPoolExecutor(k - 1, multiprocessing.get_context("fork"),
-                                    initializer=_start_worker, initargs=(os.getpid(),)), k - 1
-    pool = _POOL[0]
-    try:
-        futures = [pool.submit(_over_share, fn, args, share) for share in shares[1:]]
-        for item in shares[0]:
-            yield fn(*args, item)
-        for future in futures:
-            yield from future.result()
-    except BaseException:
-        if _POOL is not None and _POOL[0] is pool:
-            _POOL = None
-        workers = list((pool._processes or {}).values())  # no public call ends busy workers
-        pool.shutdown(wait=False, cancel_futures=True)
-        for worker in workers:
-            worker.terminate()
-        raise
-
-
-def _over_share(fn, args, share) -> list:
-    """One worker's share; at module level, so that a worker can unpickle it."""
-    return [fn(*args, item) for item in share]
-
-
-def _start_worker(caller: int) -> None:
-    """A pool worker's setup.  An interrupt is the caller's to handle.  The
-    worker exits once the caller has gone, even killed outright: it waits on
-    a queue whose write end the fork also gave it, so it would see no EOF."""
-    import signal
-    import threading
-    import time
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    def watch():
-        while os.getppid() == caller:
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _blas_threads(cpus: int) -> int:
-    """The threads BLAS runs in each process: as the first of its usual
-    variables that is set says, else one per usable CPU."""
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
+    for i, byte in enumerate(end):
+        buf[ends - len(end) + i] = byte
+    return buf[1:].data

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, _id_text, _jump, _text_rows, components, is_connected, pair_order, write_json
+from .graphs import WeightedGraph, _id_text, _jump, components, is_connected, pair_order, write_json, write_rows
 
 
 class TreeError(ValueError):
@@ -241,9 +241,6 @@ def tree_spans(g: WeightedGraph, t: SpanningTree) -> bool:
 # ---------------------------------------------------------------------------
 # stretch
 
-_CSV_BLOCK = 8192     # rows formatted at a time by StretchReport.write_csv
-
-
 @dataclass
 class StretchReport:
     """Per-edge stretch values in canonical edge order, and their sum."""
@@ -278,14 +275,11 @@ class StretchReport:
         }
 
     def write_csv(self, path) -> None:
-        """The rows ``csv.writer`` would write: u, v, repr(w), repr(stretch).
-        Built _CSV_BLOCK rows at a time as bytes on whole arrays
-        (``graphs._text_rows``), so that only one block's text is alive at once."""
-        cols = (self.edge_u, self.edge_v, self.edge_w, self.values)
+        """The rows ``csv.writer`` would write: u, v, repr(w), repr(stretch),
+        built on whole arrays (``graphs.write_rows``)."""
         with open(path, "wb") as fh:
             fh.write(b"u,v,w,stretch\r\n")
-            for i in range(0, len(self.values), _CSV_BLOCK):
-                fh.write(_text_rows([c[i:i + _CSV_BLOCK] for c in cols]))
+            write_rows(fh, (self.edge_u, self.edge_v, self.edge_w, self.values))
 
     def write_json_summary(self, path) -> None:
         write_json(self.summary(), path)

@@ -335,7 +335,7 @@ os.kill(os.getpid(), signal.SIGKILL)
 # seed 1 keeps the worker busy for a minute
 _EARLY_ERROR = r"""
 import builtins, json, multiprocessing, sys, time
-from treepcg.graphs import across_cpus
+from treepcg.cli import across_cpus
 def certify(seed):
     if seed == 0:
         print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)
@@ -635,6 +635,15 @@ class TestScaling:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "m,seed,stretch_total,stretch_cbrt,iterations,k_bound"
+
+    def test_csv_seeds_past_int64(self, tmp_path):
+        # seeds are Python ints of any size; their column is then not int64
+        rows = [{"m": 24, "seed": seed, "stretch_total": 60.0, "stretch_cbrt": 3.9148676411688634,
+                 "iterations": 10, "k_bound": 42} for seed in (3, 2**63, 2**64 - 1, 10**20)]
+        out = tmp_path / "s.csv"
+        write_scaling_csv(rows, out)
+        want = "".join(f"24,{r['seed']},60.0,3.9148676411688634,10,42\n" for r in rows)
+        assert out.read_text() == "m,seed,stretch_total,stretch_cbrt,iterations,k_bound\n" + want
 
     def test_csv_bytes_pinned(self, tmp_path, monkeypatch):
         # sha256 recorded at the commit that made akpw weight classes with

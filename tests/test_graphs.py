@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -575,6 +576,24 @@ class TestEdgeListIO:
             read_edge_list(p)
         assert str(exc.value) == error.format(p)
 
+    def test_edge_list_writer_memory_is_one_block(self, tmp_path):
+        # the columns of the stretch CSV's memory test, as a graph's edge
+        # arrays (all write_edge_list reads); a line per edge from Python
+        # lists peaked at 6.7 MB, one block of 8192 rows near 1.4 MB
+        m = 60_000
+        rng = np.random.default_rng(0)
+        u = np.sort(rng.integers(0, 30_000, m))
+        g = SimpleNamespace(edge_u=u, edge_v=u + 1, edge_w=10.0 ** rng.uniform(-1.0, 1.0, m))
+        tracemalloc.start()
+        try:
+            write_edge_list(g, tmp_path / "g.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000, peak
+        want = "".join(f"{a} {b} {c!r}\n" for a, b, c in zip(u.tolist(), (u + 1).tolist(), g.edge_w.tolist()))
+        assert (tmp_path / "g.txt").read_text() == want
+
 
 def reference_read_edge_list(path):
     """The per-line reader that read_edge_list falls back to, as it was
@@ -771,6 +790,14 @@ class TestReprText:
         rng = np.random.default_rng(20240601)
         for name, x in sweep(rng, 170_000).items():
             assert array_lines(x) == repr_lines(x), name
+
+    def test_vector_file_equals_repr_lines(self, tmp_path):
+        # write_vector's blocks: the sweep and the fallback classes, and
+        # their negations, which repr formats
+        x = np.concatenate([*sweep(np.random.default_rng(11), 20_000).values(), FALLBACK])
+        x = np.concatenate((x, -x))
+        write_vector(x, tmp_path / "x.txt")
+        assert (tmp_path / "x.txt").read_bytes() == "".join(f"{v!r}\n" for v in x.tolist()).encode()
 
     def test_fallback_equals_repr(self):
         x = np.array(FALLBACK)
